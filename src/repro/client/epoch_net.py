@@ -2,10 +2,10 @@
 
 The appendix's footnote places generator-state representatives on log
 server nodes, so NewID's quorum Read and Write travel over the same
-connections as the log traffic.  :class:`NetworkEpochSource` performs
-NewID with RPCs issued through a :class:`~repro.client.SimLogClient`'s
-connections: read ``⌈(N+1)/2⌉`` representatives, write a value higher
-than any read to ``⌈N/2⌉`` of them.
+connections as the log traffic.  :class:`NetworkEpochSource` names the
+representative servers; :meth:`~NetworkEpochSource.new_id_net` runs
+the shared NewID step (:func:`repro.core.recovery.new_id`) through a
+:class:`~repro.client.SimLogClient`'s connections.
 
 The source also supports the plain ``new_id()`` interface (raising) so
 misconfiguration fails loudly rather than silently skipping the
@@ -14,14 +14,8 @@ network.
 
 from __future__ import annotations
 
-from ..core.epoch import read_quorum_size, write_quorum_size
-from ..core.errors import NotEnoughServers, ServerUnavailable
-from ..net.messages import (
-    AckReply,
-    GeneratorReadCall,
-    GeneratorReadReply,
-    GeneratorWriteCall,
-)
+from ..core import recovery
+from ..core.errors import NotEnoughServers
 
 
 class NetworkEpochSource:
@@ -49,40 +43,7 @@ class NetworkEpochSource:
         ``yield from`` me inside a simulation process.  Raises
         :class:`NotEnoughServers` when either quorum cannot be reached.
         """
-        values: list[int] = []
-        reachable: list[str] = []
-        for server_id in self.rep_ids:
-            try:
-                yield from client._connect(server_id)
-                reply = yield from client._rpcs[server_id].call(
-                    GeneratorReadCall(client_id=client.client_id))
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, GeneratorReadReply):
-                values.append(reply.value)
-                reachable.append(server_id)
-        need_read = read_quorum_size(self.n_reps)
-        if len(values) < need_read:
-            raise NotEnoughServers(
-                f"generator read quorum needs {need_read}, "
-                f"got {len(values)}")
-        new_value = max(values) + 1
-        written = 0
-        need_write = write_quorum_size(self.n_reps)
-        for server_id in reachable:
-            if written >= need_write:
-                break
-            try:
-                reply = yield from client._rpcs[server_id].call(
-                    GeneratorWriteCall(client_id=client.client_id,
-                                       value=new_value))
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, AckReply):
-                written += 1
-        if written < need_write:
-            raise NotEnoughServers(
-                f"generator write quorum needs {need_write}, "
-                f"wrote {written}")
+        value = yield from client._drive(
+            recovery.new_id(client.client_id, self.rep_ids, self.n_reps))
         self.new_ids_issued += 1
-        return new_value
+        return value

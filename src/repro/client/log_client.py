@@ -22,15 +22,17 @@ Behaviours taken from the paper:
   NewInterval when they are already durable elsewhere.
 * **Restart** — the client initialization procedure (interval lists
   from ``M − N + 1`` servers, fresh epoch, CopyLog of the last δ
-  records plus δ not-present guards, InstallCopies), performed with
-  synchronous RPCs.
+  records plus δ not-present guards, InstallCopies): the steps of
+  :mod:`repro.core.recovery`, carried as synchronous RPCs.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from ..analysis.constants import DEFAULT_MIPS, CpuModel
+from ..core import recovery
 from ..core.config import ReplicationConfig
 from ..core.errors import (
     LSNNotWritten,
@@ -40,7 +42,7 @@ from ..core.errors import (
     ServerUnavailable,
     StaleEpoch,
 )
-from ..core.intervals import MergedIntervalMap, ServerIntervals
+from ..core.intervals import MergedIntervalMap
 from ..core.records import Epoch, LogRecord, LSN, StoredRecord
 from ..core.retry import RetryPolicy
 from ..net.messages import (
@@ -48,8 +50,7 @@ from ..net.messages import (
     CopyLogCall,
     ForceLogMsg,
     InstallCopiesCall,
-    IntervalListCall,
-    IntervalListReply,
+    GeneratorWriteCall,
     MissingIntervalMsg,
     NewHighLSNMsg,
     NewIntervalMsg,
@@ -242,25 +243,10 @@ class SimLogClient:
 
     def initialize(self):
         """Run the restart procedure over the network; ``yield from`` me."""
-        # 1. interval lists from every reachable server
-        reports: list[ServerIntervals] = []
-        for server_id in self.server_ids:
-            try:
-                yield from self._connect(server_id)
-                reply = yield from self._rpcs[server_id].call(
-                    IntervalListCall(client_id=self.client_id)
-                )
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, IntervalListReply):
-                reports.append(ServerIntervals(server_id, reply.intervals))
-        if len(reports) < self.config.init_quorum:
-            raise NotEnoughServers(
-                f"client init needs {self.config.init_quorum} interval "
-                f"lists, got {len(reports)}"
-            )
-        merged = MergedIntervalMap.merge(reports)
-        # 2. a fresh epoch — over the network when the generator's
+        merged = MergedIntervalMap.merge((yield from self._drive(
+            recovery.gather(self.client_id, self.server_ids,
+                            self.config.init_quorum))))
+        # a fresh epoch — over the network when the generator's
         # representatives live on log-server nodes (Appendix I)
         if hasattr(self.epoch_source, "new_id_net"):
             new_epoch = yield from self.epoch_source.new_id_net(self)
@@ -268,85 +254,52 @@ class SimLogClient:
             new_epoch = self.epoch_source.new_id()
         if new_epoch <= merged.highest_epoch():
             raise StaleEpoch("generator", new_epoch, merged.highest_epoch())
-        # 3. read the last δ records
-        high = merged.high_lsn() or 0
-        copy_lsns = [
-            lsn for lsn in range(max(1, high - self.config.delta + 1), high + 1)
-            if lsn in merged
-        ]
-        staged: list[StoredRecord] = []
-        for lsn in copy_lsns:
-            record = yield from self._read_stored(merged, lsn)
-            staged.append(StoredRecord(
-                lsn=record.lsn, epoch=new_epoch, present=record.present,
-                data=record.data, kind=record.kind,
-            ))
-        staged += [
-            StoredRecord(lsn=high + i, epoch=new_epoch, present=False, kind="guard")
-            for i in range(1, self.config.delta + 1)
-        ]
-        # 4. CopyLog + InstallCopies on N servers
         candidates = self.assignment.choose(
             self.server_ids, len(self.server_ids), self._server_loads
         )
-        installed: list[str] = []
-        for server_id in candidates:
-            if len(installed) >= self.config.copies:
-                break
-            try:
-                yield from self._connect(server_id)
-                rpc = self._rpcs[server_id]
-                for chunk in _pack_records(staged):
-                    reply = yield from rpc.call(CopyLogCall(
-                        client_id=self.client_id, epoch=new_epoch, records=chunk,
-                    ))
-                    if not isinstance(reply, AckReply):
-                        raise ServerUnavailable(server_id, "copy rejected")
-                reply = yield from rpc.call(InstallCopiesCall(
-                    client_id=self.client_id, epoch=new_epoch,
-                ))
-                if not isinstance(reply, AckReply):
-                    raise ServerUnavailable(server_id, "install rejected")
-            except ServerUnavailable:
-                continue
-            installed.append(server_id)
-        if len(installed) < self.config.copies:
-            raise NotEnoughServers(
-                f"recovery installed copies on {len(installed)} servers; "
-                f"{self.config.copies} required"
-            )
-        for record in staged:
-            for server_id in installed:
-                merged.note(record.lsn, new_epoch, server_id)
-        # 5. adopt the new state
-        self._merged = merged
-        self._epoch = new_epoch
-        self._next_lsn = (merged.high_lsn() or 0) + 1
-        self._write_set = installed
-        guard_high = merged.high_lsn() or 0
-        for server_id in installed:
-            self._acked[server_id] = guard_high
-            self._sent_high[server_id] = guard_high
+        result = yield from self._drive(recovery.recover(
+            self.client_id, merged, new_epoch, self.config.delta,
+            self.config.copies, candidates))
+        self._merged = result.merged
+        self._epoch = result.epoch
+        self._next_lsn = result.next_lsn
+        self._write_set = list(result.write_set)
+        for server_id in self._write_set:
+            self._acked[server_id] = result.next_lsn - 1
+            self._sent_high[server_id] = result.next_lsn - 1
         self._buffer.clear()
         self._buffer_bytes = 0
         self._unacked.clear()
         self.recoveries += 1
 
-    def _read_stored(self, merged: MergedIntervalMap, lsn: LSN) -> StoredRecord:
-        """Fetch one stored record (present flag intact) for recovery."""
-        for server_id in merged.servers_for(lsn):
+    def _drive(self, step):
+        """Carry a :mod:`repro.core.recovery` step as RPCs; ``yield from`` me.
+
+        A CopyLog goes out in packet-sized chunks.  GeneratorWrite and
+        InstallCopies reuse the connection of the GeneratorRead or
+        CopyLog they follow instead of reconnecting.
+        """
+        reply = error = None
+        while True:
             try:
-                yield from self._connect(server_id)
-                reply = yield from self._rpcs[server_id].call(
-                    ReadLogForwardCall(client_id=self.client_id, lsn=lsn)
-                )
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, ReadLogReply) and reply.records:
-                first = reply.records[0]
-                if first.lsn == lsn:
-                    return first
-        raise NotEnoughServers(f"no reachable server stores LSN {lsn}")
+                server_id, msg = (step.throw(error) if error is not None
+                                  else step.send(reply))
+            except StopIteration as done:
+                return done.value
+            reply = error = None
+            try:
+                if not isinstance(msg, (GeneratorWriteCall, InstallCopiesCall)):
+                    yield from self._connect(server_id)
+                rpc = self._rpcs[server_id]
+                if isinstance(msg, CopyLogCall):
+                    for chunk in _pack_records(msg.records):
+                        reply = yield from rpc.call(replace(msg, records=chunk))
+                        if not isinstance(reply, AckReply):
+                            break
+                else:
+                    reply = yield from rpc.call(msg)
+            except ServerUnavailable as exc:
+                error = exc
 
     # -- logging -------------------------------------------------------------------
 

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotEnoughServers, ServerUnavailable
 from .intervals import MergedIntervalMap
 from .ports import ServerPort
 from .records import StoredRecord
-from .recovery import gather_interval_lists
+from .recovery import drive, fetch, gather_interval_lists
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,8 +70,7 @@ def repair_log_copy(
 
     to_copy: list[StoredRecord] = []
     for lsn in needy:
-        record = _read_from_any(survivor_ports, merged, client_id, lsn)
-        to_copy.append(record)
+        to_copy.append(drive(fetch(client_id, merged, lsn), survivor_ports))
 
     # Replay in (epoch, LSN) order: epochs non-decreasing, and within
     # an epoch LSNs increase — the append discipline of Section 3.1.1.
@@ -93,22 +91,3 @@ def repair_log_copy(
         lsns_repaired=tuple(r.lsn for r in to_copy),
     )
 
-
-def _read_from_any(
-    ports: dict[str, ServerPort],
-    merged: MergedIntervalMap,
-    client_id: str,
-    lsn: int,
-) -> StoredRecord:
-    last: ServerUnavailable | None = None
-    for server_id in merged.servers_for(lsn):
-        port = ports.get(server_id)
-        if port is None:
-            continue
-        try:
-            return port.server_read_log(client_id, lsn)
-        except ServerUnavailable as exc:
-            last = exc
-    raise NotEnoughServers(
-        f"no surviving server stores LSN {lsn}; the log has lost data"
-    ) from last

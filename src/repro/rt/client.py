@@ -29,8 +29,9 @@ Restart (:meth:`AsyncReplicatedLog.initialize`) gathers interval lists
 from at least ``M − N + 1`` servers, merges them, draws a fresh epoch
 from the replicated generator (majority read + majority write over the
 same connections), copies the last ``δ`` records under the new epoch,
-appends ``δ`` not-present guards, and installs atomically — the exact
-procedure of :mod:`repro.core.recovery`, spoken over the wire.
+appends ``δ`` not-present guards, and installs atomically — the steps
+of :mod:`repro.core.recovery`, carried over the wire by
+:meth:`AsyncReplicatedLog._drive`.
 
 Degraded servers (slow, hung, disk-full) are handled without blocking
 the batch path: every connection owns a bounded send queue drained by
@@ -47,8 +48,9 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Awaitable, Callable, Mapping
+from typing import Awaitable, Callable, Mapping, TypeVar
 
+from ..core import recovery
 from ..core.config import ReplicationConfig
 from ..core.errors import (
     LogFenced,
@@ -57,10 +59,8 @@ from ..core.errors import (
     NotInitialized,
     RecordNotPresent,
     ServerUnavailable,
-    StaleEpoch,
     TenantQuotaExceeded,
 )
-from ..core.epoch import read_quorum_size, write_quorum_size
 from ..core.intervals import MergedIntervalMap, ServerIntervals
 from ..core.records import (
     Epoch,
@@ -74,17 +74,8 @@ from ..net.codec import FrameReader, encode_stored_record, frame, frame_iov
 from ..net.messages import (
     ERR_FENCED,
     ERR_QUOTA,
-    CopyLogCall,
     ErrorReply,
-    FenceLogCall,
-    FenceReply,
     ForceLogMsg,
-    GeneratorReadCall,
-    GeneratorReadReply,
-    GeneratorWriteCall,
-    InstallCopiesCall,
-    IntervalListCall,
-    IntervalListReply,
     Message,
     MissingIntervalMsg,
     NewHighLSNMsg,
@@ -100,6 +91,8 @@ from ..net.messages import (
 from ..net.packet import PACKET_PAYLOAD_BYTES
 from . import clientfault
 from .placement import PlacementDirectory
+
+T = TypeVar("T")
 
 
 def _reply_error(server_id: str, reply: ErrorReply) -> Exception:
@@ -752,12 +745,12 @@ class AsyncReplicatedLog:
         async def attempt() -> None:
             await self._ensure_connections()
             clientfault.hit("client.init.connect")
-            lists = await self._gather_interval_lists()
+            lists = await self._gather()
             clientfault.hit("client.init.lists")
             merged = MergedIntervalMap.merge(lists)
             clientfault.hit("client.init.merge")
             epoch = await self._new_epoch(merged.highest_epoch())
-            await self._perform_recovery(merged, epoch)
+            await self._recover(merged, epoch)
 
         async def on_retry(_attempt: int) -> None:
             await self._ensure_connections()
@@ -800,17 +793,18 @@ class AsyncReplicatedLog:
         async def attempt() -> None:
             await self._ensure_connections()
             clientfault.hit("client.handoff.connect")
-            lists = await self._gather_interval_lists()
+            lists = await self._gather()
             clientfault.hit("client.handoff.lists")
             floor = MergedIntervalMap.merge(lists).highest_epoch()
             epoch = await self._new_epoch(floor)
             clientfault.hit("client.handoff.epoch")
-            await self._install_fence(epoch)
+            self.fences_installed += await self._drive(recovery.fence(
+                self.client_id, self._candidate_order(), epoch,
+                self.config.init_quorum))
             clientfault.hit("client.handoff.fenced")
             # Post-fence gather: the state as of the handoff point.
-            merged = MergedIntervalMap.merge(
-                await self._gather_interval_lists())
-            await self._perform_recovery(merged, epoch)
+            merged = MergedIntervalMap.merge(await self._gather())
+            await self._recover(merged, epoch)
 
         async def on_retry(_attempt: int) -> None:
             await self._ensure_connections()
@@ -820,193 +814,59 @@ class AsyncReplicatedLog:
         self.recoveries_performed += 1
         self.takeovers_performed += 1
 
-    async def _install_fence(self, epoch: Epoch) -> int:
-        """Durably fence the stream at ``epoch`` on enough servers.
+    async def _drive(self, step: recovery.Step[T]) -> T:
+        """Carry a :mod:`repro.core.recovery` step over the connections.
 
-        Tries *every* reachable server (the wider the fence, the
-        sooner the old owner hits it) but requires acknowledgment from
-        at least ``config.init_quorum`` — the ``M − N + 1`` floor that
-        guarantees intersection with every possible write set.  A
-        server answering ``ERR_FENCED`` means a higher epoch already
-        owns the stream: that :class:`LogFenced` is terminal for this
-        takeover and propagates.
+        A dead connection fails its call with :class:`ServerUnavailable`
+        without sending anything.
         """
-        fenced = 0
-        for sid in self._candidate_order():
-            conn = self._conns[sid]
-            if not conn.alive:
-                continue
+        reply: Message | None = None
+        error: ServerUnavailable | None = None
+        while True:
             try:
-                reply = await conn.call(
-                    FenceLogCall(self.client_id, epoch=epoch))
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, FenceReply):
-                fenced += 1
-                self.fences_installed += 1
-                # Index 0 = the fence holds on one server only; the
-                # old owner is already locked out of write sets that
-                # include it, but not yet out of all of them.
-                clientfault.hit("client.handoff.fence.ack")
-        if fenced < self.config.init_quorum:
-            raise NotEnoughServers(
-                f"fence install needs {self.config.init_quorum} servers "
-                f"to guarantee write-set intersection; only {fenced} "
-                f"acknowledged"
-            )
-        return fenced
+                sid, msg = (step.throw(error) if error is not None
+                            else step.send(reply))
+            except StopIteration as done:
+                return done.value
+            reply = error = None
+            conn = self._conns.get(sid)
+            try:
+                if conn is None or not conn.alive:
+                    raise ServerUnavailable(sid, "not connected")
+                reply = await conn.call(msg)
+            except ServerUnavailable as exc:
+                error = exc
 
-    async def _gather_interval_lists(self) -> list[ServerIntervals]:
-        results: list[ServerIntervals] = []
-        for sid in sorted(self._conns):
-            conn = self._conns[sid]
-            if not conn.alive:
-                continue
-            try:
-                reply = await conn.call(IntervalListCall(self.client_id))
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, IntervalListReply):
-                results.append(ServerIntervals(sid, reply.intervals))
-        if len(results) < self.config.init_quorum:
-            raise NotEnoughServers(
-                f"client initialization needs interval lists from "
-                f"{self.config.init_quorum} servers; only {len(results)} "
-                f"responded"
-            )
-        return results
+    async def _gather(self) -> list[ServerIntervals]:
+        return await self._drive(recovery.gather(
+            self.client_id, sorted(self._conns), self.config.init_quorum))
 
     async def _new_epoch(self, floor: Epoch) -> Epoch:
-        """Appendix I NewID over the log-server connections.
+        """Appendix I NewID with every server as a representative."""
+        return await self._drive(recovery.new_id(
+            self.client_id, sorted(self._conns), self.config.total_servers,
+            floor))
 
-        Reads ``⌈(M+1)/2⌉`` generator representatives, writes
-        ``max + 1`` to ``⌈M/2⌉`` — the read set of any invocation
-        intersects the write set of every earlier one.
-        """
-        m = self.config.total_servers
-        values: list[int] = []
-        writable: list[ServerConnection] = []
-        for sid in sorted(self._conns):
-            conn = self._conns[sid]
-            if not conn.alive:
-                continue
-            try:
-                reply = await conn.call(GeneratorReadCall(self.client_id))
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, GeneratorReadReply):
-                values.append(reply.value)
-                writable.append(conn)
-        if len(values) < read_quorum_size(m):
-            raise NotEnoughServers(
-                f"generator read quorum needs {read_quorum_size(m)} "
-                f"representatives, only {len(values)} available"
-            )
-        clientfault.hit("client.epoch.read")
-        new_value = max(values) + 1
-        if new_value <= floor:
-            raise StaleEpoch("generator", new_value, floor)
-        written = 0
-        for conn in writable:
-            try:
-                await conn.call(GeneratorWriteCall(self.client_id,
-                                                   value=new_value))
-            except ServerUnavailable:
-                continue
-            written += 1
-            if written >= write_quorum_size(m):
-                break
-        if written < write_quorum_size(m):
-            raise NotEnoughServers(
-                f"generator write quorum needs {write_quorum_size(m)} "
-                f"representatives, wrote {written}"
-            )
-        clientfault.hit("client.epoch.written")
-        return new_value
-
-    async def _fetch_record(
-        self, merged: MergedIntervalMap, lsn: LSN
-    ) -> StoredRecord:
-        """The winning copy of ``lsn`` from some server storing it."""
-        for sid in merged.servers_for(lsn):
-            conn = self._conns.get(sid)
-            if conn is None or not conn.alive:
-                continue
-            try:
-                reply = await conn.call(
-                    ReadLogForwardCall(self.client_id, lsn)
-                )
-            except ServerUnavailable:
-                continue
-            if isinstance(reply, ReadLogReply):
-                for record in reply.records:
-                    if record.lsn == lsn:
-                        return record
-        raise NotEnoughServers(
-            f"no reachable server stores LSN {lsn} needed for recovery"
-        )
-
-    async def _perform_recovery(
-        self, merged: MergedIntervalMap, new_epoch: Epoch
-    ) -> None:
-        """Steps 3–5 of the restart procedure: copy, guard, install."""
-        config = self.config
-        high = merged.high_lsn() or 0
-        copy_lsns = [lsn
-                     for lsn in range(max(1, high - config.delta + 1), high + 1)
-                     if lsn in merged]
-        staged = [
-            StoredRecord(lsn=r.lsn, epoch=new_epoch, present=r.present,
-                         data=r.data, kind=r.kind)
-            for r in [await self._fetch_record(merged, lsn)
-                      for lsn in copy_lsns]
-        ] + [
-            StoredRecord(lsn=high + i, epoch=new_epoch, present=False,
-                         kind="guard")
-            for i in range(1, config.delta + 1)
-        ]
-        clientfault.hit("client.recovery.staged")
-        ordered = list(self._write_set) + [
+    async def _recover(self, merged: MergedIntervalMap, epoch: Epoch) -> None:
+        """Steps 3–5 on the write set first, then adopt the new state."""
+        order = list(self._write_set) + [
             sid for sid in self._candidate_order()
             if sid not in self._write_set
         ]
-        installed: list[str] = []
-        for sid in ordered:
-            if len(installed) >= config.copies:
-                break
-            conn = self._conns[sid]
-            if not conn.alive:
-                continue
-            try:
-                await conn.call(CopyLogCall(self.client_id, new_epoch,
-                                            tuple(staged)))
-                clientfault.hit("client.recovery.copylog")
-                await conn.call(InstallCopiesCall(self.client_id, new_epoch))
-            except ServerUnavailable:
-                continue
-            clientfault.hit("client.recovery.install")
-            installed.append(sid)
-        if len(installed) < config.copies:
-            raise NotEnoughServers(
-                f"recovery could install copies on only {len(installed)} "
-                f"servers; {config.copies} required"
-            )
-        clientfault.hit("client.recovery.commit")
-        for record in staged:
-            for sid in installed:
-                merged.note(record.lsn, new_epoch, sid)
-        self._merged = merged
-        self._epoch = new_epoch
-        self._next_lsn = (merged.high_lsn() or 0) + 1
-        self._write_set = installed
+        result = await self._drive(recovery.recover(
+            self.client_id, merged, epoch, self.config.delta,
+            self.config.copies, order))
+        self._merged = result.merged
+        self._epoch = result.epoch
+        self._next_lsn = result.next_lsn
+        self._write_set = list(result.write_set)
         self._buffer = []
         self._window = []
         self._buffer_enc = []
         self._window_enc = []
         self._buffer_bytes = 0
-        self._last_record = staged[-1] if staged else None
-        self._last_record_enc = (
-            encode_stored_record(staged[-1]) if staged else None)
+        self._last_record = result.staged[-1]
+        self._last_record_enc = encode_stored_record(result.staged[-1])
 
     def _require_init(self) -> MergedIntervalMap:
         if self._merged is None:

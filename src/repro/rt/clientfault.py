@@ -2,7 +2,8 @@
 
 :mod:`repro.rt.faultfs` kills a server at an exact storage I/O; this
 module does the same to :class:`~repro.rt.client.AsyncReplicatedLog`
-at an exact **protocol step**.  The client code is instrumented with
+at an exact **protocol step**.  The client code, with the restart
+steps it shares in :mod:`repro.core.recovery`, is instrumented with
 :func:`hit` calls naming a site — after a WriteLog batch is streamed,
 before/after ForceLog acknowledgments (including after a *partial*
 ack), mid write-set switch, and between each step of the Section 5.4
@@ -143,6 +144,7 @@ def install_from_env() -> ClientFaultInjector | None:
 
 
 def hit(site: str) -> None:
-    """The instrumentation hook :mod:`repro.rt.client` calls."""
+    """The instrumentation hook :mod:`repro.rt.client` and
+    :mod:`repro.core.recovery` call."""
     if _injector is not None:
         _injector.hit(site)

@@ -522,6 +522,12 @@ class LogServerDaemon:
 
     def _on_install(self, msg: InstallCopiesCall) -> list[Message]:
         self.store.install_copies(msg.client_id, msg.epoch)
+        # The new epoch writes on from the highest installed LSN (the
+        # last guard), not from the old writer's next LSN: a tracker
+        # left there would NAK the guards as missing on the first force.
+        high = self.store.client_high_lsn(msg.client_id)
+        if high is not None:
+            self._expected[msg.client_id] = high + 1
         return [AckReply(msg.client_id, ok=True)]
 
     # -- Section 5.3: log space management -----------------------------

@@ -144,6 +144,31 @@ def test_fence_survives_daemon_crash(tmp_path):
     asyncio.run(main())
 
 
+def test_first_force_after_handoff_draws_no_missing_interval(tmp_path):
+    """InstallCopies moves a server's gap tracker past the installed
+    guards, so the new owner's first force — after a takeover and
+    after a plain restart — is not NAKed as a MissingInterval."""
+    async def main():
+        async with Cluster(tmp_path) as cluster:
+            owner = AsyncReplicatedLog("c", cluster.addresses(), CONFIG)
+            await owner.initialize()
+            for i in range(3):
+                await owner.write(f"r{i}".encode())
+            await owner.force()
+            await owner.close()
+            for handoff in ("takeover", "initialize"):
+                owner = AsyncReplicatedLog("c", cluster.addresses(), CONFIG)
+                await getattr(owner, handoff)()
+                await owner.write(handoff.encode())
+                await owner.force()
+                assert owner.missing_intervals_seen == 0, handoff
+                await owner.close()
+            assert sum(d.missing_intervals_sent
+                       for d in cluster.daemons.values()) == 0
+
+    asyncio.run(main())
+
+
 @settings(max_examples=8, deadline=None)
 @given(ops=st.lists(st.sampled_from(["restart", "takeover", "bounce"]),
                     min_size=1, max_size=5))
