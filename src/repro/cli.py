@@ -380,8 +380,11 @@ def _cmd_crashsweep(args: argparse.Namespace) -> int:
                 for error in case.errors:
                     print(f"  {case.spec}: {error}")
         else:
+            unreached = sum(not case.hit for case in report.all_cases)
             print(f"\nall {report.cases_run} crash cases passed "
-                  f"({report.duration_s:.1f}s)")
+                  f"({report.duration_s:.1f}s)"
+                  + (f"; {unreached} armed point(s) never reached"
+                     if unreached else ""))
     return 1 if report.failures else 0
 
 
@@ -651,11 +654,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bounded CI smoke: first/last point per site, "
                         "power-loss everywhere + one torn/flip/errno "
                         "case per site")
-    p.add_argument("--point", default=None, metavar="SITE:IDX[:ACTION]",
-                   help="replay exactly one crash case (action defaults "
-                        "to power-loss; client.* replays a client-kill "
-                        "case, net.* a frame-fault case with default "
-                        "action drop)")
+    p.add_argument("--point", default=None,
+                   metavar="[SID@]SITE:IDX[:ACTION]",
+                   help="replay exactly one crash case; the site prefix "
+                        "picks the fault family: client.* a client kill "
+                        "(default action exit), net.* a frame fault on "
+                        "server SID (default s1, action drop), any other "
+                        "site a storage fault (default power-loss); a "
+                        "point the workload never reaches is reported "
+                        "as 'point not reached'")
     p.add_argument("--no-daemon", action="store_true",
                    help="skip the subprocess phase (real 'repro serve' "
                         "daemons crashed over the wire)")
@@ -680,10 +687,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "network, storage, and client faults (2-4 per "
                         "case); failures print a --plan replay string")
     p.add_argument("--plan", default=None, metavar="SPEC",
-                   help="replay one composite fuzz plan verbatim: "
-                        "comma-separated [sid@]net.KIND.DIR:IDX:ACTION, "
-                        "[sid@]STORAGE-SITE:IDX:ACTION, and "
-                        "client.SITE:IDX:raise tokens")
+                   help="replay one multi-fault fuzz case verbatim: "
+                        "comma-separated [SID@]SITE:IDX:ACTION tokens of "
+                        "the same grammar as --point (net.* and storage "
+                        "sites on server SID, default s1; client.* sites "
+                        "with action raise)")
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON instead of a table")
     p.set_defaults(func=_cmd_crashsweep)

@@ -4,7 +4,7 @@
 :class:`~repro.rt.client.AsyncReplicatedLog` against real ``repro
 serve`` daemons and journals every protocol step to a line-buffered
 file, so the harness knows exactly what the client *believed* at the
-instant it was killed.  Two modes:
+instant it was killed.  Three modes:
 
 ``--mode run``
     ET1-shaped workload (Section 4.1: several buffered WriteLogs, then
@@ -18,10 +18,11 @@ instant it was killed.  Two modes:
     the process at an exact protocol point.
 
 ``--mode recover``
-    The *second* OS process: runs the full Section 5.4 restart
-    (interval-list merge, epoch bump, copy, guard, install), dumps
-    every LSN's final state, then proves the log is still live with a
-    post-recovery transaction.
+    The *second* OS process: the shared read-back
+    (:func:`repro.harness.history.read_back`) — the full Section 5.4
+    restart (interval-list merge, epoch bump, copy, guard, install),
+    every LSN's final state, then a post-recovery transaction proving
+    the log is still live.
 
 ``--mode takeover``
     Like ``recover``, but via
@@ -31,27 +32,10 @@ instant it was killed.  Two modes:
     alive (merely partitioned) and writing.  The first process, once
     fenced, journals ``FENCED`` and exits with status 3.
 
-Journal grammar (one record per line, hex-encoded payloads)::
-
-    EPOCH <epoch>            initialize() finished with this epoch
-    ATTEMPT <seq> <hex>      about to write payload (no promise)
-    LSN <seq> <lsn>          the write was assigned this LSN
-    ACK <high>               an explicit force acked through <high>
-    TRUNCREQ <low>           about to request truncation (no promise)
-    TRUNC <low>              a truncation below <low> was acknowledged
-    FENCED                   a server refused us: ownership moved on
-    RECOVERED <epoch> <high> (recover) restart done
-    TAKEOVER <epoch> <high>  (takeover) fenced handoff done
-    FINAL <lsn> 1 <hex>      (recover) present record
-    FINAL <lsn> 0            (recover) not-present (guard) record
-    FINAL <lsn> -            (recover) unreadable / truncated away
-    POST <lsn> <hex>         (recover) post-recovery write
-    POSTACK <high>           (recover) post-recovery force acked
-    DONE                     the workload ran to completion
-
-The journal is written with ``buffering=1`` and every promise line is
-emitted only *after* the awaited call returned, so a SIGKILL can never
-leave a journaled ack that the server side did not issue.
+The journal is the :class:`~repro.harness.history.History` grammar,
+written with ``buffering=1``; every promise line is emitted only
+*after* the awaited call returned, so a SIGKILL can never leave a
+journaled ack that the server side did not issue.
 """
 
 from __future__ import annotations
@@ -61,9 +45,10 @@ import asyncio
 import sys
 
 from ..core.config import ReplicationConfig
-from ..core.errors import LogError, LogFenced, RecordNotPresent
+from ..core.errors import LogError, LogFenced
 from ..rt import clientfault
 from ..rt.client import AsyncReplicatedLog
+from .history import History, read_back
 
 #: exit status of a worker stopped by a fence (ownership handoff) —
 #: distinct from crash-plan exits and from genuine failures.
@@ -86,94 +71,62 @@ def _payload(client_id: str, txn: int, i: int) -> bytes:
     return tag + b"x" * max(0, 100 - len(tag))
 
 
-async def _run_workload(args, say) -> None:
-    servers = parse_servers(args.servers)
-    config = ReplicationConfig(total_servers=args.m, copies=args.n,
-                               delta=args.delta)
-    # A server deliberately killed mid-case leaves in-flight futures
-    # nobody retrieves; that is the scenario, not a worker bug.
-    asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: None)
+def _client(args) -> AsyncReplicatedLog:
     # batch_bytes small enough that WriteLog streaming (site
     # client.flush.sent) actually triggers between forces; the adaptive
     # force trigger is pinned at the ceiling so run N's protocol trace
     # is a prefix of run N+1's — crash points must be deterministic.
-    log = AsyncReplicatedLog(args.client_id, servers, config,
-                             timeout=args.timeout, batch_bytes=256)
+    config = ReplicationConfig(total_servers=args.m, copies=args.n,
+                               delta=args.delta)
+    log = AsyncReplicatedLog(args.client_id, parse_servers(args.servers),
+                             config, timeout=args.timeout, batch_bytes=256)
     log.delta_controller.min_delta = log.delta_controller.max_delta
+    return log
+
+
+async def _run_workload(args, history: History) -> None:
+    # A server deliberately killed mid-case leaves in-flight futures
+    # nobody retrieves; that is the scenario, not a worker bug.
+    asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: None)
+    log = _client(args)
     await log.initialize()
-    say(f"EPOCH {log.current_epoch}")
-    seq = 0
+    history.epoch(log.current_epoch)
     for txn in range(args.txns):
         for i in range(args.records_per_txn):
-            seq += 1
             data = _payload(args.client_id, txn, i)
-            say(f"ATTEMPT {seq} {data.hex()}")
-            lsn = await log.write(data)
-            say(f"LSN {seq} {lsn}")
-        high = await log.force()
-        say(f"ACK {high}")
+            seq = history.attempt(data)
+            history.lsn(seq, await log.write(data))
+        history.ack(await log.force())
         if args.truncate_every and (txn + 1) % args.truncate_every == 0:
-            low = log.end_of_log() - config.delta
+            low = log.end_of_log() - args.delta
             if low > 1:
                 # Intent first: a kill mid-truncation may leave the
                 # servers already reclaimed with no TRUNC ack journaled.
-                say(f"TRUNCREQ {low}")
+                history.truncreq(low)
                 await log.truncate(low)
-                say(f"TRUNC {low}")
+                history.trunc(low)
     # Handoff tail: a second instance of the same stream seizes
     # ownership through the fenced takeover, then commits one more
     # transaction.  A kill inside any client.handoff.* seam leaves a
     # partially-installed fence the recover-mode restart must ride
     # over (its fresh epoch always exceeds any standing fence).
-    taker = AsyncReplicatedLog(args.client_id, servers, config,
-                               timeout=args.timeout, batch_bytes=256)
-    taker.delta_controller.min_delta = taker.delta_controller.max_delta
+    taker = _client(args)
     await taker.takeover()
-    say(f"EPOCH {taker.current_epoch}")
+    history.epoch(taker.current_epoch)
     for i in range(args.records_per_txn):
-        seq += 1
         data = _payload(args.client_id, 9000, i)
-        say(f"ATTEMPT {seq} {data.hex()}")
-        lsn = await taker.write(data)
-        say(f"LSN {seq} {lsn}")
-    say(f"ACK {await taker.force()}")
-    say("DONE")
+        seq = history.attempt(data)
+        history.lsn(seq, await taker.write(data))
+    history.ack(await taker.force())
+    history.finish()
     await taker.close()
     await log.close()
 
 
-async def _run_recover(args, say, *, takeover: bool = False) -> None:
-    servers = parse_servers(args.servers)
-    config = ReplicationConfig(total_servers=args.m, copies=args.n,
-                               delta=args.delta)
+async def _run_recover(args, history: History, *, takeover: bool) -> None:
     asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: None)
-    log = AsyncReplicatedLog(args.client_id, servers, config,
-                             timeout=args.timeout, batch_bytes=256)
-    log.delta_controller.min_delta = log.delta_controller.max_delta
-    if takeover:
-        await log.takeover()
-    else:
-        await log.initialize()
-    high = log.end_of_log()
-    verb = "TAKEOVER" if takeover else "RECOVERED"
-    say(f"{verb} {log.current_epoch} {high}")
-    for lsn in range(1, high + 1):
-        try:
-            record = await log.read(lsn)
-        except RecordNotPresent:
-            say(f"FINAL {lsn} 0")
-            continue
-        except LogError:
-            say(f"FINAL {lsn} -")
-            continue
-        say(f"FINAL {lsn} 1 {record.data.hex()}")
-    # Liveness: the recovered log still accepts a transaction.
-    for i in range(2):
-        data = _payload(args.client_id, 10_000, i)
-        lsn = await log.write(data)
-        say(f"POST {lsn} {data.hex()}")
-    say(f"POSTACK {await log.force()}")
-    say("DONE")
+    log = _client(args)
+    await read_back(log, history, takeover=takeover)
     await log.close()
 
 
@@ -200,21 +153,18 @@ def main(argv: list[str] | None = None) -> int:
 
     injector = clientfault.install_from_env()
     journal = open(args.journal, "a", buffering=1)
-
-    def say(line: str) -> None:
-        journal.write(line + "\n")
-
+    history = History(sink=lambda line: journal.write(line + "\n"))
     try:
         if args.mode == "run":
-            asyncio.run(_run_workload(args, say))
+            asyncio.run(_run_workload(args, history))
         else:
-            asyncio.run(_run_recover(args, say,
+            asyncio.run(_run_recover(args, history,
                                      takeover=args.mode == "takeover"))
     except LogFenced as exc:
         # Ownership moved on mid-workload: journal the observation so
         # the harness can prove the old writer *stopped*, and exit with
         # a status it can tell apart from ordinary failures.
-        say("FENCED")
+        history.fence()
         print(f"clientworker: {exc}", file=sys.stderr)
         return EXIT_FENCED
     except LogError as exc:

@@ -34,8 +34,10 @@ authoritative, so the full invariants still apply there.
 The **daemon phase** repeats a subset against a real ``repro serve``
 process: the armed daemon dies with exit status 86 mid-workload
 (``--fault-plan``), is restarted without the plan, and a fresh client
-must read back every wire-acked LSN.  Its combined cases arm
-multi-fault plans — e.g. a torn ``compact.write`` whose corruption
+reads the log back; the workload's journaled
+:class:`~repro.harness.history.History` is then checked by the one
+history checker, :func:`~repro.harness.history.check`.  Its combined
+cases arm multi-fault plans — e.g. a torn ``compact.write`` whose corruption
 must stay invisible because power is lost before the covering
 ``compact.rename`` installs it.
 
@@ -46,17 +48,19 @@ daemons and is killed — exit 86 or SIGKILL — at every enumerated
 protocol crash point of :mod:`repro.rt.clientfault`: after a WriteLog
 batch is streamed, around ForceLog acknowledgments (including after a
 *partial* ack), mid write-set switch, and between each step of the
-§5.4 restart.  A **second OS process** then runs the full §5.4 restart
-and the harness checks the journals: nothing fabricated, every acked
-record durable with its exact payload, the epoch strictly monotone,
-and a third process re-running recovery reproducing the identical
-final state (window-replay idempotence).  Combined client cases arm a
-server storage fault and a client kill in the same run, so recovery
-itself executes against a crashing cluster.
+§5.4 restart.  A **second OS process** then runs the shared read-back
+(the full §5.4 restart) and a third repeats it; :func:`check` runs
+over the three journals: nothing fabricated, every acked record
+durable with its exact payload, the epoch strictly monotone, and the
+third process reproducing the second's final state (window-replay
+idempotence).  Combined client cases arm a server storage fault and a
+client kill in the same run, so recovery itself executes against a
+crashing cluster.
 
 Everything is deterministic given ``seed`` (which varies the record
 payloads); ``repro crashsweep --seed S --point SITE:IDX[:ACTION]``
-replays one failing case.
+replays one failing case of any family (the site prefix picks it, as
+in :func:`~repro.rt.faultfs.parse_plans`).
 """
 
 from __future__ import annotations
@@ -77,14 +81,17 @@ from ..core.records import StoredRecord
 from ..storage.append_forest import AppendForestError
 from ..rt import clientfault
 from ..rt.cluster import LoopbackCluster
+from ..rt.client import AsyncReplicatedLog
 from ..rt.faultfs import (
-    CLIENT_ACTIONS,
     FAULT_EXIT_CODE,
     FaultInjector,
     FaultPlan,
+    FaultSpecError,
     PowerLoss,
+    parse_plans,
 )
 from ..rt.filestore import FileLogStore
+from .history import History, check, read_back_from
 
 #: sites whose payload can be torn or bit-flipped (the others degrade
 #: crash-shaped actions to a plain power loss).
@@ -102,7 +109,7 @@ class CrashCase:
     point: str           # "site:index"
     action: str
     ok: bool = True
-    hit: bool = True     # daemon cases: did the armed point fire?
+    hit: bool = True     # did the armed point fire?
     errors: list[str] = field(default_factory=list)
 
     @property
@@ -138,16 +145,17 @@ class SweepReport:
     duration_s: float = 0.0
 
     @property
+    def all_cases(self) -> list[CrashCase]:
+        return (self.cases + self.daemon_cases + self.client_cases
+                + self.net_cases + self.fuzz_cases)
+
+    @property
     def failures(self) -> list[CrashCase]:
-        return [c for c in self.cases + self.daemon_cases
-                + self.client_cases + self.net_cases + self.fuzz_cases
-                if not c.ok]
+        return [c for c in self.all_cases if not c.ok]
 
     @property
     def cases_run(self) -> int:
-        return (len(self.cases) + len(self.daemon_cases)
-                + len(self.client_cases) + len(self.net_cases)
-                + len(self.fuzz_cases))
+        return len(self.all_cases)
 
     def as_dict(self) -> dict:
         return {
@@ -183,8 +191,9 @@ class SweepConfig:
     #: with power-loss everywhere plus one torn/flip/EIO case per
     #: write site — the CI smoke shape.
     quick: bool = False
-    #: replay exactly one case: ``site:index`` or ``site:index:action``
-    #: (action defaults to power-loss).
+    #: replay exactly one case: ``[sid@]site:index[:action]`` of any
+    #: family (the action defaults to the family's: power-loss, exit
+    #: for ``client.*``, drop for ``net.*``).
     point: str | None = None
     #: also run the subprocess daemon phase.
     daemon: bool = True
@@ -471,7 +480,7 @@ def _enumerate_points(base_dir: Path, payloads: dict) -> list[str]:
 
 def _run_case(data_dir: Path, plan: FaultPlan, payloads: dict) -> CrashCase:
     case = CrashCase(point=plan.point, action=plan.action)
-    injector = FaultInjector(plan, mode="raise")
+    injector = FaultInjector((plan,), mode="raise")
     journal = _Journal()
     store = None
     try:
@@ -488,6 +497,7 @@ def _run_case(data_dir: Path, plan: FaultPlan, payloads: dict) -> CrashCase:
             except (StorageError, OSError):
                 pass
         injector.close_all()
+    case.hit = injector.faults_injected > 0
     # Silent log corruption voids later acks by design; corruption of
     # the advisory forest index must not (the log is authoritative).
     strict = plan.action != "bit-flip" or plan.site.startswith("forest.")
@@ -529,42 +539,35 @@ def _actions_for(site: str, *, quick: bool, first: bool) -> list[str]:
 _DAEMON_CONFIG = ReplicationConfig(total_servers=1, copies=1, delta=4)
 
 
-async def _daemon_workload(addresses: dict) -> dict:
-    """Two client generations against one daemon; returns wire acks.
+async def _daemon_workload(addresses: dict) -> History:
+    """Two client generations against one daemon; returns their history.
 
     Generation one appends with periodic forces; generation two
     re-initializes the same client id (epoch bump → CopyLog/Install
-    over the wire), appends more, and truncates.  Every step journals
-    only after its awaited call returns.
+    over the wire), appends more, and truncates.  Every intent is
+    journaled before its call and every promise after it returns.
     """
-    from ..rt.client import AsyncReplicatedLog
-
     # The daemon dies mid-call by design; in-flight futures that never
     # get retrieved are expected noise, not a harness bug.
     asyncio.get_running_loop().set_exception_handler(lambda loop, ctx: None)
-    acked: dict[int, bytes] = {}
-    state = {"acked": acked, "mark": 0, "epoch": 0}
+    history = History()
 
     async def generation(n_writes: int, start_index: int) -> None:
         log = AsyncReplicatedLog("cd", addresses, _DAEMON_CONFIG,
                                  timeout=3.0)
         await log.initialize()
-        state["epoch"] = log.current_epoch
-        pending: dict[int, bytes] = {}
+        history.epoch(log.current_epoch)
         try:
             for i in range(start_index, start_index + n_writes):
                 data = f"d{i}".encode()
-                lsn = await log.write(data)
-                pending[lsn] = data
+                seq = history.attempt(data)
+                history.lsn(seq, await log.write(data))
                 if (i + 1) % 3 == 0:
-                    high = await log.force()
-                    for ack_lsn in [p for p in pending if p <= high]:
-                        acked[ack_lsn] = pending.pop(ack_lsn)
+                    history.ack(await log.force())
             if start_index:
+                history.truncreq(6)
                 await log.truncate(6)
-                state["mark"] = max(state["mark"], 6)
-                for lsn in [p for p in acked if p < 6]:
-                    del acked[lsn]
+                history.trunc(6)
         finally:
             await log.close()
 
@@ -573,38 +576,7 @@ async def _daemon_workload(addresses: dict) -> dict:
         await generation(9, 9)
     except (LogError, OSError, asyncio.TimeoutError):
         pass  # the daemon died at the armed point; acks stop here
-    return state
-
-
-async def _daemon_verify(addresses: dict, state: dict) -> list[str]:
-    from ..rt.client import AsyncReplicatedLog
-
-    errors: list[str] = []
-    log = AsyncReplicatedLog("cd", addresses, _DAEMON_CONFIG, timeout=5.0)
-    try:
-        await log.initialize()
-        mark = state["mark"]
-        for lsn, data in sorted(state["acked"].items()):
-            if lsn < mark:
-                continue
-            try:
-                record = await log.read(lsn)
-            except LogError as exc:
-                errors.append(f"acked lsn {lsn} lost after restart: {exc}")
-                continue
-            # read() raises RecordNotPresent (a LogError, caught above)
-            # for masked records; a returned LogRecord is always present.
-            if record.data != data:
-                errors.append(f"acked lsn {lsn} wrong after restart: "
-                              f"{record.data!r} != {data!r}")
-        if state["acked"] and log.end_of_log() < max(state["acked"]):
-            errors.append(f"end_of_log {log.end_of_log()} below acked "
-                          f"high {max(state['acked'])}")
-    except LogError as exc:
-        errors.append(f"client restart failed: {exc}")
-    finally:
-        await log.close()
-    return errors
+    return history
 
 
 def _daemon_enumerate(root: Path) -> list[str]:
@@ -637,7 +609,7 @@ def _daemon_case(root: Path, index, point: str,
     case = CrashCase(point=point, action=action)
     cluster = LoopbackCluster(str(root / f"case-{index}"), num_servers=1)
     try:
-        state = {"acked": {}, "mark": 0, "epoch": 0}
+        history = History()
         started = True
         try:
             cluster.start_server(
@@ -653,7 +625,7 @@ def _daemon_case(root: Path, index, point: str,
             # acked; the plain restart below must still come up clean.
             started = False
         if started:
-            state = asyncio.run(_daemon_workload(cluster.addresses()))
+            history = asyncio.run(_daemon_workload(cluster.addresses()))
             if cluster.servers["s1"].alive:
                 # The workload finished without reaching the armed
                 # point (can happen for late indices): nothing to
@@ -665,8 +637,9 @@ def _daemon_case(root: Path, index, point: str,
                 case.errors.append(f"daemon exited {code}, expected "
                                    f"{FAULT_EXIT_CODE} (injected crash)")
         cluster.restart("s1")  # no plan: clean recovery
-        errors = asyncio.run(_daemon_verify(cluster.addresses(), state))
-        case.errors.extend(errors)
+        readback = asyncio.run(read_back_from(cluster.addresses(), "cd",
+                                              _DAEMON_CONFIG))
+        case.errors.extend(check(history, readback))
     finally:
         cluster.stop()
         case.ok = not case.errors
@@ -753,142 +726,6 @@ def _run_worker(addresses: dict, journal: Path, *, mode: str = "run",
     return proc.returncode
 
 
-@dataclass
-class _WorkerJournal:
-    """Parsed view of one clientworker journal file."""
-
-    epoch: int = 0
-    attempts: dict[int, bytes] = field(default_factory=dict)  # seq → data
-    lsn_of: dict[int, int] = field(default_factory=dict)      # seq → lsn
-    acked_high: int = 0
-    trunc_mark: int = 0    # highest *acknowledged* truncation
-    trunc_req: int = 0     # highest *requested* truncation (intent)
-    rec_epoch: int = 0
-    rec_high: int = 0
-    #: lsn → ("1", data) present / ("0", None) guard / ("-", None) gone
-    finals: dict[int, tuple[str, bytes | None]] = field(default_factory=dict)
-    posts: dict[int, bytes] = field(default_factory=dict)
-    postack: int = 0
-    done: bool = False
-
-
-def _parse_worker_journal(path: Path) -> _WorkerJournal:
-    j = _WorkerJournal()
-    if not path.exists():
-        return j
-    for line in path.read_text().splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        tag = parts[0]
-        if tag == "EPOCH":
-            j.epoch = int(parts[1])
-        elif tag == "ATTEMPT":
-            j.attempts[int(parts[1])] = bytes.fromhex(parts[2])
-        elif tag == "LSN":
-            j.lsn_of[int(parts[1])] = int(parts[2])
-        elif tag == "ACK":
-            j.acked_high = max(j.acked_high, int(parts[1]))
-        elif tag == "TRUNC":
-            j.trunc_mark = max(j.trunc_mark, int(parts[1]))
-        elif tag == "TRUNCREQ":
-            j.trunc_req = max(j.trunc_req, int(parts[1]))
-        elif tag == "RECOVERED":
-            j.rec_epoch, j.rec_high = int(parts[1]), int(parts[2])
-        elif tag == "FINAL":
-            lsn, state = int(parts[1]), parts[2]
-            j.finals[lsn] = (
-                state, bytes.fromhex(parts[3]) if state == "1" else None
-            )
-        elif tag == "POST":
-            j.posts[int(parts[1])] = bytes.fromhex(parts[2])
-        elif tag == "POSTACK":
-            j.postack = int(parts[1])
-        elif tag == "DONE":
-            j.done = True
-    return j
-
-
-def _client_verify(run: _WorkerJournal, rec1: _WorkerJournal,
-                   rec2: _WorkerJournal) -> list[str]:
-    """The client-phase invariants, checked against three journals.
-
-    ``run`` is the killed client; ``rec1`` and ``rec2`` are the two
-    successive §5.4 restarts from fresh OS processes.  An ack journaled
-    by ``run`` is a durability promise; an attempt without an ack is
-    not — it may appear (the kill landed after the send) or not (before
-    it), but only with the exact attempted payload.
-    """
-    errors: list[str] = []
-    if not rec1.done:
-        errors.append("first recovery worker did not finish")
-    if not rec2.done:
-        errors.append("second recovery worker did not finish")
-    data_of_lsn = {lsn: run.attempts[seq]
-                   for seq, lsn in run.lsn_of.items()}
-    attempted = set(run.attempts.values())
-    # Epoch strictly monotone across every client generation.
-    if run.epoch and rec1.rec_epoch <= run.epoch:
-        errors.append(f"epoch not monotone: restart drew "
-                      f"{rec1.rec_epoch} after the killed client ran "
-                      f"at {run.epoch}")
-    if rec1.rec_epoch and rec2.rec_epoch <= rec1.rec_epoch:
-        errors.append(f"epoch not monotone across restarts: "
-                      f"{rec2.rec_epoch} <= {rec1.rec_epoch}")
-    # Acked-durable exact: every journaled-acked record reads back
-    # with its exact payload (unless legally truncated).  A truncation
-    # *requested* but killed before its ack may or may not have been
-    # applied — like an unacked write, either outcome is legal, so the
-    # durability floor is the highest requested mark, and records in
-    # [acked mark, requested mark) that *do* survive still go through
-    # the no-fabrication payload check below.
-    trunc_floor = max(run.trunc_mark, run.trunc_req)
-    for seq, lsn in sorted(run.lsn_of.items()):
-        if lsn > run.acked_high or lsn < trunc_floor:
-            continue
-        state, data = rec1.finals.get(lsn, ("missing", None))
-        if state != "1":
-            errors.append(f"acked lsn {lsn} lost after client kill "
-                          f"(state {state})")
-        elif data != run.attempts[seq]:
-            errors.append(f"acked lsn {lsn} has the wrong payload "
-                          f"after restart")
-    # No fabrication: every present record carries a payload some
-    # client generation actually attempted, at the LSN it was assigned.
-    for label, rec, extra in (("first", rec1, {}),
-                              ("second", rec2, rec1.posts)):
-        allowed = attempted | set(extra.values())
-        for lsn, (state, data) in sorted(rec.finals.items()):
-            if state != "1":
-                continue
-            want = extra.get(lsn, data_of_lsn.get(lsn))
-            if want is not None:
-                if data != want:
-                    errors.append(f"{label} restart: lsn {lsn} does not "
-                                  f"match the write assigned to it")
-            elif data not in allowed:
-                errors.append(f"{label} restart fabricated lsn {lsn}")
-    # Window-replay idempotence: restarting again (which re-copies the
-    # last δ records and re-stages guards) reproduces the exact state.
-    for lsn in range(1, rec1.rec_high + 1):
-        if rec1.finals.get(lsn) != rec2.finals.get(lsn):
-            errors.append(
-                f"recovery not idempotent at lsn {lsn}: "
-                f"{rec1.finals.get(lsn)!r} then {rec2.finals.get(lsn)!r}"
-            )
-    # Post-recovery liveness: the first restart's acked transaction is
-    # durable for the second.
-    if rec1.done and not rec1.posts:
-        errors.append("first recovery journaled no post-recovery writes")
-    for lsn, data in sorted(rec1.posts.items()):
-        if lsn > rec1.postack:
-            continue
-        state, got = rec2.finals.get(lsn, ("missing", None))
-        if state != "1" or got != data:
-            errors.append(f"post-recovery acked lsn {lsn} not durable")
-    return errors
-
-
 def _client_enumerate(root: Path) -> list[str]:
     """One fault-free worker run under a recording injector."""
     trace_path = root / "client-trace.txt"
@@ -935,7 +772,7 @@ def _client_case(root: Path, index: int, point: str, action: str,
         run_journal = case_root / "run.journal"
         rc = _run_worker(cluster.addresses(), run_journal,
                          plan=f"{point}:{action}")
-        run = _parse_worker_journal(run_journal)
+        run = History.load(run_journal)
         if rc == 0 and run.done:
             # The workload finished without reaching the armed point.
             case.hit = False
@@ -945,15 +782,14 @@ def _client_case(root: Path, index: int, point: str, action: str,
         if rc != expected:
             case.errors.append(f"run worker exited {rc}, expected "
                                f"{expected} (injected kill)")
-        recoveries: list[_WorkerJournal] = []
+        readbacks: list[History] = []
         for n in (1, 2):
             journal = case_root / f"recover{n}.journal"
             rc = _run_worker(cluster.addresses(), journal, mode="recover")
             if rc != 0:
                 case.errors.append(f"recovery worker {n} exited {rc}")
-            recoveries.append(_parse_worker_journal(journal))
-        case.errors.extend(
-            _client_verify(run, recoveries[0], recoveries[1]))
+            readbacks.append(History.load(journal))
+        case.errors.extend(check(run, *readbacks))
     finally:
         cluster.stop()
         case.ok = not case.errors
@@ -961,6 +797,57 @@ def _client_case(root: Path, index: int, point: str, action: str,
 
 
 # -- entry point -------------------------------------------------------------
+
+
+def _enumerate_storage(root: Path, payloads: dict, report: SweepReport,
+                       say) -> list[str]:
+    trace = _enumerate_points(root, payloads)
+    report.points_enumerated = len(trace)
+    for point in trace:
+        site = point.rsplit(":", 1)[0]
+        report.sites[site] = report.sites.get(site, 0) + 1
+    say(f"enumerated {len(trace)} crash points across "
+        f"{len(report.sites)} sites")
+    return trace
+
+
+def _replay(config: SweepConfig, root: Path, payloads: dict,
+            report: SweepReport, say) -> None:
+    """Replay one ``--plan`` fuzz case, or the single ``--point`` case
+    of whichever family it names."""
+    from .netsweep import run_net_phase
+    if config.plan is not None:
+        plans = parse_plans(config.plan)
+        say(f"replaying fuzz case {config.plan}")
+        case = run_net_phase(root / "net", say=say, plan=plans).fuzz_cases[0]
+        report.fuzz_cases.append(case)
+        _say_verdict(case, say)
+        return
+    plans = parse_plans(config.point, defaults=True)
+    if len(plans) != 1:
+        raise FaultSpecError(config.point, config.point,
+                             "arms more than one point (use --plan)")
+    plan = plans[0]
+    say(f"replaying single {plan.family} case {plan.spec}")
+    if plan.family == "net":
+        case = run_net_phase(root / "net", say=say, point=plan).cases[0]
+        report.net_cases.append(case)
+    elif plan.family == "client":
+        case = _client_case(root / "client-replay", 0, plan.point,
+                            plan.action)
+        report.client_cases.append(case)
+    else:
+        _enumerate_storage(root, payloads, report, say)
+        case = _run_case(root / "replay", plan, payloads)
+        report.cases.append(case)
+    _say_verdict(case, say)
+
+
+def _say_verdict(case: CrashCase, say) -> None:
+    if not case.hit:
+        say(f"{case.spec}: point not reached")
+    elif not case.ok:
+        say(f"FAIL {case.spec}: {'; '.join(case.errors)}")
 
 
 def run_crashsweep(config: SweepConfig, progress=None) -> SweepReport:
@@ -973,50 +860,13 @@ def run_crashsweep(config: SweepConfig, progress=None) -> SweepReport:
     say(f"crashsweep seed={config.seed} quick={config.quick}")
     start = time.monotonic()
 
-    if config.plan is not None or (
-            config.point is not None
-            and config.point.startswith("net.")):
-        # Replay one network or composite case against real daemons.
-        from .netsweep import run_net_phase
-        net = run_net_phase(root / "net", quick=config.quick,
-                            sweep=False, seed=config.seed, say=say,
-                            point=config.point, plan=config.plan)
-        report.net_cases.extend(net.cases)
-        report.fuzz_cases.extend(net.fuzz_cases)
-        report.duration_s = time.monotonic() - start
-        return report
-
-    if config.point is not None and config.point.startswith("client."):
-        # Replay one client-phase case: SITE:IDX[:ACTION], exit default.
-        plan = FaultPlan.parse(config.point, actions=CLIENT_ACTIONS,
-                               default_action="exit")
-        point = f"{plan.site}:{plan.index}"
-        action = plan.action
-        say(f"replaying single client case {point}:{action}")
-        case = _client_case(root / "client-replay", 0, point, action)
-        report.client_cases.append(case)
+    if config.plan is not None or config.point is not None:
+        _replay(config, root, payloads, report, say)
         report.duration_s = time.monotonic() - start
         return report
 
     if not config.client_only and not config.net_only:
-        trace = _enumerate_points(root, payloads)
-        report.points_enumerated = len(trace)
-        for point in trace:
-            site = point.rsplit(":", 1)[0]
-            report.sites[site] = report.sites.get(site, 0) + 1
-        say(f"enumerated {len(trace)} crash points across "
-            f"{len(report.sites)} sites")
-
-        if config.point is not None:
-            parts = config.point.split(":")
-            plan = FaultPlan.parse(config.point) if len(parts) >= 3 \
-                else FaultPlan.parse(config.point + ":power-loss")
-            say(f"replaying single case {plan.spec}")
-            case = _run_case(root / "replay", plan, payloads)
-            report.cases.append(case)
-            report.duration_s = time.monotonic() - start
-            return report
-
+        trace = _enumerate_storage(root, payloads, report, say)
         seen_first: set[str] = set()
         for n, point in enumerate(
                 _select_points(trace, quick=config.quick)):

@@ -12,14 +12,16 @@ client workload runs through them:
    target server's proxy is a point ``net.<kind>.<dir>:<index>``
    (keep-alive ping/pong excluded: their timing is not deterministic).
 2. **Sweep** — re-run the workload once per (point, action) with that
-   single :class:`~repro.rt.chaosproxy.NetFaultPlan` armed, including
+   single ``net.*`` :class:`~repro.rt.faultfs.FaultPlan` armed, including
    curated ``partition-after`` cases where the §5.4 switch must
    complete off a server that is *alive and reachable in one
    direction* within :data:`SWITCH_BUDGET_S`.
 3. **Verify** — heal (drop the proxies), confirm no daemon died, then
-   re-run the §5.4 restart with the same client id *directly* against
-   the daemons and check the standing invariants: epoch monotone, every
-   acked record readable with its exact payload (above the truncation
+   run the shared read-back (:func:`~repro.harness.history.read_back`,
+   the §5.4 restart with the same client id *directly* against the
+   daemons) and check the workload's history with
+   :func:`~repro.harness.history.check`: epoch monotone, every acked
+   record readable with its exact payload (above the truncation
    floor), nothing fabricated, and post-heal liveness (a fresh
    transaction acks and reads back).
 
@@ -29,11 +31,12 @@ frame plans, storage fault plans armed on a daemon via ``--fault-plan``
 (power-loss/EIO only: silent storage corruption voids acked-durability
 by design and belongs to the storage phase), and in-process client
 protocol crashes (:mod:`repro.rt.clientfault`, action ``raise``).  A
-case's composite plan string round-trips through
-:func:`parse_composite_plan`, so any failure is replayable with
-``repro crashsweep --plan SPEC``.  The workload may legally abort
-mid-case (e.g. two faulted servers leave no write quorum); the
-invariants are checked regardless, after the fleet is revived.
+case's plan string is tokens of the one fault grammar and round-trips
+through :func:`~repro.rt.faultfs.parse_plans`, so any failure is
+replayable with ``repro crashsweep --plan SPEC``.  The workload may
+legally abort mid-case (e.g. two faulted servers leave no write
+quorum); the invariants are checked regardless, after the fleet is
+revived.
 """
 
 from __future__ import annotations
@@ -48,12 +51,13 @@ from ..core.errors import LogError, LogFenced
 from ..core.retry import RetryPolicy
 from ..net.codec import RECORD_BEARING_KINDS
 from ..rt import clientfault
-from ..rt.chaosproxy import NetFaultPlan, ProxyFleet
+from ..rt.chaosproxy import ProxyFleet
 from ..rt.client import AsyncReplicatedLog
 from ..rt.clientfault import ClientCrash, ClientFaultInjector
 from ..rt.cluster import LoopbackCluster
-from ..rt.faultfs import CLIENT_ACTIONS, FaultPlan, FaultSpecError
+from ..rt.faultfs import FaultPlan, parse_plans
 from .crashsweep import CrashCase
+from .history import History, check, read_back_from
 
 #: the case workload's replication shape (M=3, N=2, δ=8 — δ larger
 #: than a transaction so only explicit forces hit the wire, keeping
@@ -89,6 +93,12 @@ _FUZZ_STORAGE_SITES = ("log.write.record", "log.fsync", "log.group-fsync",
                        "log.write.fence")
 _FUZZ_STORAGE_ACTIONS = ("power-loss", "eio")
 
+#: frame actions the fuzzer draws (plus ``corrupt-payload`` on
+#: record-bearing kinds); the order is part of every seeded plan.
+_FUZZ_NET_ACTIONS = ("drop", "delay", "duplicate", "corrupt-header",
+                     "truncate-mid-frame", "partition-after",
+                     "kill-connection-after")
+
 #: client protocol sites the fuzzer crashes in-process (action
 #: ``raise``; exit/sigkill would kill the harness itself).  The
 #: ``client.handoff.*`` sites are the takeover seams: after the epoch
@@ -108,23 +118,12 @@ _STALE_PREFIX = b"stale."
 
 
 @dataclass
-class NetJournal:
-    """What the case workload promised (acks) and attempted."""
+class _CaseStats:
+    """How a case workload ran; its promises live in its history."""
 
-    epoch: int = 0
-    #: every payload handed to ``write()``, recorded *before* the call
-    #: (a record can reach a server even if the call never returns).
-    intents: list[bytes] = field(default_factory=list)
-    #: lsn → payload, recorded after ``write()`` returned.
-    attempts: dict[int, bytes] = field(default_factory=dict)
-    acked_high: int = 0
-    trunc_req: int = 0
-    trunc_ack: int = 0
     max_force_s: float = 0.0
     switches: int = 0
-    completed: bool = False
     aborted: str = ""
-    crashed_at: str = ""
 
 
 def _make_client(addresses: dict, client_id: str) -> AsyncReplicatedLog:
@@ -140,124 +139,70 @@ def _make_client(addresses: dict, client_id: str) -> AsyncReplicatedLog:
     return log
 
 
-async def _run_workload(addresses: dict, client_id: str,
-                        journal: NetJournal, *, seed: int = 0) -> None:
+async def _write_txn(log: AsyncReplicatedLog, history: History,
+                     stats: _CaseStats, payloads) -> None:
+    """Write ``payloads`` and force them, journaling intent and acks."""
+    loop = asyncio.get_running_loop()
+    for payload in payloads:
+        seq = history.attempt(payload)
+        history.lsn(seq, await log.write(payload))
+    t0 = loop.time()
+    high = await log.force()
+    stats.max_force_s = max(stats.max_force_s, loop.time() - t0)
+    history.ack(high)
+
+
+async def _run_workload(addresses: dict, client_id: str, history: History,
+                        stats: _CaseStats, *, seed: int = 0) -> None:
     """Three 4-record transactions with explicit forces and one §5.3
     truncation, then a fenced ownership handoff (a second instance
     seizes the stream and commits one more transaction — putting the
     fencelog frames and the ``client.handoff.*`` sites on the traced
-    protocol surface the sweep and fuzzer enumerate).  The journal is
-    updated only after each awaited call returns (an interrupted call
-    carries no durability promise)."""
-    loop = asyncio.get_running_loop()
+    protocol surface the sweep and fuzzer enumerate).  Every intent is
+    journaled before its call and every promise after it returns (an
+    interrupted call carries no durability promise)."""
     # Injected faults abort in-flight futures by design; unretrieved
     # exceptions are expected noise, not harness bugs.
-    loop.set_exception_handler(lambda lp, ctx: None)
+    asyncio.get_running_loop().set_exception_handler(lambda lp, ctx: None)
     log = _make_client(addresses, client_id)
     taker: AsyncReplicatedLog | None = None
     try:
         await log.initialize()
-        journal.epoch = log.current_epoch
+        history.epoch(log.current_epoch)
         for txn in range(3):
-            for i in range(4):
-                payload = (f"{client_id}.{txn}.{i}.".encode()
-                           + bytes((seed + 16 * txn + 4 * i + j) % 256
-                                   for j in range(64)))
-                journal.intents.append(payload)
-                lsn = await log.write(payload)
-                journal.attempts[lsn] = payload
-            t0 = loop.time()
-            high = await log.force()
-            journal.max_force_s = max(journal.max_force_s,
-                                      loop.time() - t0)
-            journal.acked_high = max(journal.acked_high, high)
+            await _write_txn(log, history, stats, [
+                f"{client_id}.{txn}.{i}.".encode()
+                + bytes((seed + 16 * txn + 4 * i + j) % 256
+                        for j in range(64))
+                for i in range(4)])
             if txn == 1:
                 low = log.end_of_log() - _NET_CONFIG.delta
                 if low > 1:
-                    journal.trunc_req = max(journal.trunc_req, low)
+                    history.truncreq(low)
                     await log.truncate(low)
-                    journal.trunc_ack = max(journal.trunc_ack, low)
+                    history.trunc(low)
         taker = _make_client(addresses, client_id)
         await taker.takeover()
-        journal.epoch = taker.current_epoch
-        for i in range(4):
-            payload = (f"{client_id}.t.{i}.".encode()
-                       + bytes((seed + 128 + 4 * i + j) % 256
-                               for j in range(64)))
-            journal.intents.append(payload)
-            lsn = await taker.write(payload)
-            journal.attempts[lsn] = payload
-        t0 = loop.time()
-        high = await taker.force()
-        journal.max_force_s = max(journal.max_force_s, loop.time() - t0)
-        journal.acked_high = max(journal.acked_high, high)
-        journal.completed = True
+        history.epoch(taker.current_epoch)
+        await _write_txn(taker, history, stats, [
+            f"{client_id}.t.{i}.".encode()
+            + bytes((seed + 128 + 4 * i + j) % 256 for j in range(64))
+            for i in range(4)])
+        history.finish()
     finally:
-        journal.switches = max(journal.switches, log.server_switches)
+        stats.switches = max(stats.switches, log.server_switches)
         if taker is not None:
-            journal.switches = max(journal.switches,
-                                   taker.server_switches)
+            stats.switches = max(stats.switches, taker.server_switches)
             await taker.close()
         await log.close()
 
 
-# -- verification ------------------------------------------------------------
-
-
-async def _verify_case(addresses: dict, client_id: str,
-                       journal: NetJournal) -> list[str]:
-    """§5.4 restart directly against the daemons; check the invariants."""
-    errors: list[str] = []
-    asyncio.get_running_loop().set_exception_handler(lambda lp, ctx: None)
-    log = AsyncReplicatedLog(client_id, addresses, _NET_CONFIG,
-                             timeout=5.0)
-    try:
-        await log.initialize()
-        if journal.epoch and log.current_epoch <= journal.epoch:
-            errors.append(
-                f"epoch not monotone: recovery drew {log.current_epoch} "
-                f"after the workload ran at {journal.epoch}")
-        floor = max(journal.trunc_ack, journal.trunc_req)
-        end = log.end_of_log()
-        if journal.acked_high and end < journal.acked_high:
-            errors.append(f"end_of_log {end} below acked high "
-                          f"{journal.acked_high}")
-        allowed = set(journal.intents)
-        for lsn in range(1, end + 1):
-            acked = (lsn in journal.attempts
-                     and lsn <= journal.acked_high and lsn >= floor)
-            try:
-                record = await log.read(lsn)
-            except LogError as exc:
-                # Guard, truncated, or never-landed unacked write: all
-                # legal — unless the record was acked.
-                if acked:
-                    errors.append(f"acked lsn {lsn} lost after heal: "
-                                  f"{exc}")
-                continue
-            want = journal.attempts.get(lsn)
-            if want is not None:
-                if record.data != want:
-                    errors.append(f"lsn {lsn} does not match the write "
-                                  f"assigned to it")
-            elif record.data not in allowed:
-                errors.append(f"fabricated record at lsn {lsn}")
-        # Post-heal liveness: a fresh transaction acks and reads back.
-        post: list[tuple[int, bytes]] = []
-        for i in range(2):
-            data = f"post.{client_id}.{i}".encode()
-            post.append((await log.write(data), data))
-        await log.force()
-        for lsn, data in post:
-            record = await log.read(lsn)
-            if record.data != data:
-                errors.append(f"post-heal write at lsn {lsn} not "
-                              f"readable")
-    except LogError as exc:
-        errors.append(f"post-heal recovery failed: {exc!r}")
-    finally:
-        await log.close()
-    return errors
+def _check_healed(cluster: LoopbackCluster, client_id: str,
+                  history: History) -> list[str]:
+    """Read the stream back directly from the daemons; check it."""
+    readback = asyncio.run(read_back_from(cluster.addresses(), client_id,
+                                          _NET_CONFIG))
+    return check(history, readback)
 
 
 # -- enumeration and case selection ------------------------------------------
@@ -271,9 +216,10 @@ def enumerate_net_points(cluster: LoopbackCluster, *,
         fleet = ProxyFleet(cluster.addresses(), record_server=target)
         await fleet.start()
         try:
-            journal = NetJournal()
-            await _run_workload(fleet.addresses(), "net-e", journal)
-            if not journal.completed:
+            history = History()
+            await _run_workload(fleet.addresses(), "net-e", history,
+                                _CaseStats())
+            if not history.done:
                 raise RuntimeError(
                     "net enumeration workload did not complete")
             return list(fleet.proxies[target].trace)
@@ -330,14 +276,14 @@ def select_net_cases(trace: list[str], *,
 # -- single-fault net cases --------------------------------------------------
 
 
-def run_net_case(cluster: LoopbackCluster, index, spec: str, *,
+def run_net_case(cluster: LoopbackCluster, index, plan: FaultPlan, *,
                  partition_expected: bool = False) -> CrashCase:
     """One armed frame fault against the shared daemon cluster."""
-    plan = NetFaultPlan.parse(spec)
     case = CrashCase(point=plan.point, action=plan.action)
     target = plan.server or "s1"
     client_id = f"n{index}"
-    journal = NetJournal()
+    history = History()
+    stats = _CaseStats()
 
     async def run() -> int:
         fleet = ProxyFleet(cluster.addresses(), plans=(plan,),
@@ -346,10 +292,11 @@ def run_net_case(cluster: LoopbackCluster, index, spec: str, *,
         try:
             try:
                 await asyncio.wait_for(
-                    _run_workload(fleet.addresses(), client_id, journal),
+                    _run_workload(fleet.addresses(), client_id, history,
+                                  stats),
                     timeout=60.0)
             except (LogError, OSError, asyncio.TimeoutError) as exc:
-                journal.aborted = repr(exc)
+                stats.aborted = repr(exc)
             return fleet.faults_injected
         finally:
             await fleet.close()
@@ -359,16 +306,16 @@ def run_net_case(cluster: LoopbackCluster, index, spec: str, *,
         if not cluster.servers[target].alive:
             case.errors.append(
                 f"partitioned daemon {target} died during the case")
-        if not journal.switches:
+        if not stats.switches:
             case.errors.append(
                 "partition did not drive a §5.4 write-set switch")
-        if not journal.completed:
+        if not history.done:
             case.errors.append(
                 f"workload did not complete off the partitioned server "
-                f"({journal.aborted or 'incomplete'})")
-        if journal.max_force_s > SWITCH_BUDGET_S:
+                f"({stats.aborted or 'incomplete'})")
+        if stats.max_force_s > SWITCH_BUDGET_S:
             case.errors.append(
-                f"switch took {journal.max_force_s:.2f}s, over the "
+                f"switch took {stats.max_force_s:.2f}s, over the "
                 f"{SWITCH_BUDGET_S:.2f}s detection budget")
     # Heal == the proxies are gone.  A network-only fault must never
     # kill a daemon; restart any casualty so one bad case cannot
@@ -378,9 +325,7 @@ def run_net_case(cluster: LoopbackCluster, index, spec: str, *,
             case.errors.append(
                 f"daemon {sid} died during a network-only case")
             cluster.restart(sid)
-    case.errors.extend(
-        asyncio.run(_verify_case(cluster.addresses(), client_id,
-                                 journal)))
+    case.errors.extend(_check_healed(cluster, client_id, history))
     case.ok = not case.errors
     return case
 
@@ -412,8 +357,10 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
     case = CrashCase(point="handoff.partition", action="takeover")
     client_id = f"h{index}"
     config = _NET_CONFIG
-    old_acked: dict[int, bytes] = {}
-    new_acked: dict[int, bytes] = {}
+    # The stale writes are deliberately not journaled: any that became
+    # durable is a record nobody was promised, which check() flags.
+    history = History()
+    stats = _CaseStats()
     outcome: dict[str, object] = {"takeover_epoch": 0, "fenced": ""}
 
     async def run() -> None:
@@ -426,12 +373,11 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
                                  timeout=2.0)
         try:
             await old.initialize()
+            history.epoch(old.current_epoch)
             for txn in range(2):
-                for i in range(4):
-                    payload = f"{client_id}.pre.{txn}.{i}".encode()
-                    lsn = await old.write(payload)
-                    old_acked[lsn] = payload
-                await old.force()
+                await _write_txn(old, history, stats, [
+                    f"{client_id}.pre.{txn}.{i}".encode()
+                    for i in range(4)])
             # Half-partition the old writer: every proxy drops
             # server→client, so it hears nothing — but its own frames
             # still land on every daemon.
@@ -439,6 +385,7 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
                 proxy.partition("s2c")
             # The second process seizes the stream over its own links.
             await new.takeover()
+            history.epoch(new.current_epoch)
             outcome["takeover_epoch"] = new.current_epoch
             # The deaf old writer keeps forcing.  These frames reach
             # the daemons; the fence must refuse them *before* any
@@ -474,11 +421,8 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
                     else:
                         await asyncio.sleep(0.25)
             # The new owner's log was live through all of it.
-            for i in range(4):
-                payload = f"{client_id}.post.{i}".encode()
-                lsn = await new.write(payload)
-                new_acked[lsn] = payload
-            await new.force()
+            await _write_txn(new, history, stats, [
+                f"{client_id}.post.{i}".encode() for i in range(4)])
         finally:
             await old.close()
             await new.close()
@@ -525,142 +469,63 @@ def run_handoff_case(cluster: LoopbackCluster, index) -> CrashCase:
     # Final §5.4 restart over the healed daemons: epoch monotone, all
     # acked records (old pre-handoff + new post-handoff) durable, and
     # nothing stale readable anywhere.
-    journal = NetJournal(epoch=int(outcome["takeover_epoch"] or 0),
-                         acked_high=max([*old_acked, *new_acked],
-                                        default=0))
-    journal.attempts = {**old_acked, **new_acked}
-    journal.intents = list(journal.attempts.values())
-    case.errors.extend(
-        asyncio.run(_verify_case(cluster.addresses(), client_id,
-                                 journal)))
+    case.errors.extend(_check_healed(cluster, client_id, history))
     case.ok = not case.errors
     return case
 
 
-# -- composite (fuzz) plans --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CompositePlan:
-    """2–4 faults across the three injector families, one case."""
-
-    net: tuple[NetFaultPlan, ...] = ()
-    storage: tuple[tuple[str, FaultPlan], ...] = ()  # (server id, plan)
-    client: tuple[FaultPlan, ...] = ()
-
-    @property
-    def spec(self) -> str:
-        tokens = [p.spec for p in self.net]
-        tokens += [f"{sid}@{p.spec}" for sid, p in self.storage]
-        tokens += [p.spec for p in self.client]
-        return ",".join(tokens)
-
-
-def parse_composite_plan(spec: str) -> CompositePlan:
-    """Parse a comma-separated plan mixing all three fault families.
-
-    Family is recognized per token: ``[sid@]net.<kind>.<dir>:…`` is a
-    network frame fault, ``client.<site>:…`` a client protocol crash,
-    anything else ``[sid@]<storage-site>:…`` (server default ``s1``).
-    Malformed or duplicate-point input raises :class:`FaultSpecError`.
-    """
-    tokens = [token.strip() for token in spec.split(",")]
-    if tokens == [""]:
-        raise FaultSpecError(spec, spec, "is an empty fault plan")
-    net: list[NetFaultPlan] = []
-    storage: list[tuple[str, FaultPlan]] = []
-    client: list[FaultPlan] = []
-    for token in tokens:
-        if not token:
-            raise FaultSpecError(spec, token,
-                                 "is an empty token between commas")
-        body = token.split("@", 1)[-1]
-        if body.startswith("net."):
-            net.append(NetFaultPlan.parse(token))
-        elif body.startswith("client."):
-            if "@" in token:
-                raise FaultSpecError(
-                    spec, token,
-                    "routes a client fault to a server (client faults "
-                    "run in the client process)")
-            client.append(FaultPlan.parse(body, actions=CLIENT_ACTIONS))
-        else:
-            sid, sep, rest = token.partition("@")
-            if not sep:
-                sid, rest = "s1", token
-            elif not sid:
-                raise FaultSpecError(spec, token,
-                                     "has an empty server id before '@'")
-            storage.append((sid, FaultPlan.parse(rest)))
-    keys = ([("net", p.server or "s1", p.point) for p in net]
-            + [("storage", sid, p.point) for sid, p in storage]
-            + [("client", "", p.point) for p in client])
-    for key in keys:
-        if keys.count(key) > 1:
-            raise FaultSpecError(spec, key[2],
-                                 "is armed twice in one plan")
-    return CompositePlan(tuple(net), tuple(storage), tuple(client))
+# -- multi-fault (fuzz) plans ----------------------------------------------
 
 
 def draw_fuzz_plan(rng: random.Random,
-                   sites: dict[str, int]) -> CompositePlan:
-    """One seeded composite plan over the enumerated net site menu."""
+                   sites: dict[str, int]) -> tuple[FaultPlan, ...]:
+    """2–4 seeded faults across the three families (net, storage,
+    client, in that order) over the enumerated net site menu."""
     n_faults = rng.randint(2, 4)
-    net: list[NetFaultPlan] = []
-    storage: list[tuple[str, FaultPlan]] = []
-    client: list[FaultPlan] = []
+    drawn: dict[str, list[FaultPlan]] = {"net": [], "storage": [],
+                                         "client": []}
     seen: set[tuple] = set()
     tries = 0
-    while len(net) + len(storage) + len(client) < n_faults and tries < 64:
+    while sum(map(len, drawn.values())) < n_faults and tries < 64:
         tries += 1
         family = rng.choices(("net", "storage", "client"),
                              weights=(3, 1, 1))[0]
         if family == "net":
             site = rng.choice(sorted(sites))
             index = rng.randrange(min(sites[site], 3))
-            _, kind, direction = site.split(".")
-            actions = ["drop", "delay", "duplicate", "corrupt-header",
-                       "truncate-mid-frame", "partition-after",
-                       "kill-connection-after"]
-            if kind in RECORD_BEARING_KINDS:
-                actions.append("corrupt-payload")
+            actions = _FUZZ_NET_ACTIONS
+            if site.split(".")[1] in RECORD_BEARING_KINDS:
+                actions += ("corrupt-payload",)
             sid = rng.choice(("s1", "s1", "s2", "s3"))
-            key = ("net", sid, site, index)
-            if key in seen:
-                continue
-            seen.add(key)
-            net.append(NetFaultPlan(kind=kind, direction=direction,
-                                    index=index,
-                                    action=rng.choice(actions),
-                                    server=sid))
         elif family == "storage":
             sid = rng.choice(("s1", "s2"))
             site = rng.choice(_FUZZ_STORAGE_SITES)
             index = rng.randrange(6)
-            key = ("storage", sid, site, index)
-            if key in seen:
-                continue
-            seen.add(key)
-            storage.append((sid, FaultPlan(
-                site=site, index=index,
-                action=rng.choice(_FUZZ_STORAGE_ACTIONS))))
+            actions = _FUZZ_STORAGE_ACTIONS
         else:
+            sid, actions = "", ("raise",)
             site = rng.choice(_FUZZ_CLIENT_SITES)
             index = rng.randrange(2)
-            key = ("client", "", site, index)
-            if key in seen:
-                continue
-            seen.add(key)
-            client.append(FaultPlan(site=site, index=index,
-                                    action="raise"))
-    return CompositePlan(tuple(net), tuple(storage), tuple(client))
+        if (sid, site, index) in seen:
+            continue
+        seen.add((sid, site, index))
+        # A one-action table draws nothing, so seeded plans stay stable.
+        action = rng.choice(actions) if len(actions) > 1 else actions[0]
+        drawn[family].append(FaultPlan(site, index, action, sid))
+    return tuple(drawn["net"] + drawn["storage"] + drawn["client"])
+
+
+def plan_spec(plans) -> str:
+    """The replayable ``--plan`` string of a multi-fault plan."""
+    return ",".join(plan.spec for plan in plans)
 
 
 def run_fuzz_case(cluster: LoopbackCluster, index,
-                  plan: CompositePlan) -> CrashCase:
+                  plans: tuple[FaultPlan, ...]) -> CrashCase:
     """One composed multi-fault case; revive the fleet, then verify."""
-    case = CrashCase(point=plan.spec, action="fuzz")
-    bad = [p.spec for p in plan.client if p.action != "raise"]
+    case = CrashCase(point=plan_spec(plans), action="fuzz")
+    client_plans = [p for p in plans if p.family == "client"]
+    bad = [p.spec for p in client_plans if p.action != "raise"]
     if bad:
         case.errors.append(
             f"fuzz cases only support in-process client faults "
@@ -668,30 +533,33 @@ def run_fuzz_case(cluster: LoopbackCluster, index,
         case.ok = False
         return case
     client_id = f"f{index}"
-    journal = NetJournal()
+    history = History()
+    stats = _CaseStats()
     by_server: dict[str, list[FaultPlan]] = {}
-    for sid, fplan in plan.storage:
-        by_server.setdefault(sid, []).append(fplan)
+    for plan in plans:
+        if plan.family == "storage":
+            by_server.setdefault(plan.server or "s1", []).append(plan)
     for sid in sorted(by_server):
-        cluster.restart(sid, extra_args=[
-            "--fault-plan",
-            ",".join(p.spec for p in by_server[sid])])
+        cluster.restart(sid, extra_args=["--fault-plan",
+                                         plan_spec(by_server[sid])])
 
     async def run() -> int:
-        fleet = ProxyFleet(cluster.addresses(), plans=plan.net,
+        fleet = ProxyFleet(cluster.addresses(),
+                           plans=[p for p in plans if p.family == "net"],
                            seed=index if isinstance(index, int) else 0)
         await fleet.start()
-        injector = ClientFaultInjector(plan.client)
+        injector = ClientFaultInjector(client_plans)
         clientfault.install(injector)
         try:
             try:
                 await asyncio.wait_for(
-                    _run_workload(fleet.addresses(), client_id, journal),
+                    _run_workload(fleet.addresses(), client_id, history,
+                                  stats),
                     timeout=60.0)
             except ClientCrash as crash:
-                journal.crashed_at = crash.point
+                stats.aborted = f"client crash at {crash.point}"
             except (LogError, OSError, asyncio.TimeoutError) as exc:
-                journal.aborted = repr(exc)
+                stats.aborted = repr(exc)
             return fleet.faults_injected + injector.crashes
         finally:
             clientfault.install(None)
@@ -703,9 +571,7 @@ def run_fuzz_case(cluster: LoopbackCluster, index,
         cluster.revive(sorted(by_server))
     case.hit = fired > 0 or any(not cluster.servers[sid].alive
                                 for sid in by_server)
-    case.errors.extend(
-        asyncio.run(_verify_case(cluster.addresses(), client_id,
-                                 journal)))
+    case.errors.extend(_check_healed(cluster, client_id, history))
     case.ok = not case.errors
     return case
 
@@ -727,38 +593,28 @@ class NetPhaseResult:
 
 def run_net_phase(root: Path, *, quick: bool = False, sweep: bool = True,
                   fuzz: int = 0, seed: int = 0, say=lambda line: None,
-                  point: str | None = None,
-                  plan: str | None = None) -> NetPhaseResult:
+                  point: FaultPlan | None = None,
+                  plan: tuple[FaultPlan, ...] | None = None
+                  ) -> NetPhaseResult:
     """Run the network sweep and/or fuzz phases on one shared cluster.
 
     Network faults never corrupt durable state, so one 3-daemon
     cluster serves every case; each case gets a fresh client id and a
     fresh proxy fleet (fuzz cases additionally restart the daemons
-    they arm storage faults on).
+    they arm storage faults on).  ``point`` replays one frame fault and
+    ``plan`` one multi-fault case instead.
     """
     result = NetPhaseResult()
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     with LoopbackCluster(str(root / "cluster"), num_servers=3) as cluster:
         if plan is not None:
-            composite = parse_composite_plan(plan)
-            say(f"replaying composite fuzz case {composite.spec}")
-            case = run_fuzz_case(cluster, "replay", composite)
-            result.fuzz_cases.append(case)
-            if not case.ok:
-                say(f"FAIL fuzz replay [{case.point}]: "
-                    f"{'; '.join(case.errors)}")
+            result.fuzz_cases.append(run_fuzz_case(cluster, "replay", plan))
             return result
         if point is not None:
-            spec = point if point.count(":") >= 2 else f"{point}:drop"
-            netplan = NetFaultPlan.parse(spec)
-            say(f"replaying single network case {netplan.spec}")
-            case = run_net_case(
-                cluster, "replay", spec,
-                partition_expected=netplan.action == "partition-after")
-            result.cases.append(case)
-            if not case.ok:
-                say(f"FAIL net {case.spec}: {'; '.join(case.errors)}")
+            result.cases.append(run_net_case(
+                cluster, "replay", point,
+                partition_expected=point.action == "partition-after"))
             return result
         trace = enumerate_net_points(cluster)
         result.points_enumerated = len(trace)
@@ -772,13 +628,14 @@ def run_net_phase(root: Path, *, quick: bool = False, sweep: bool = True,
                 f"{len(result.sites)} sites, {len(selected)} fault "
                 f"cases + {len(partitions)} partition-switch cases")
             for n, (p, action) in enumerate(selected):
-                case = run_net_case(cluster, n, f"{p}:{action}")
+                case = run_net_case(cluster, n,
+                                    parse_plans(f"{p}:{action}")[0])
                 result.cases.append(case)
                 if not case.ok:
                     say(f"FAIL net {case.spec}: "
                         f"{'; '.join(case.errors)}")
             for n, spec in enumerate(partitions):
-                case = run_net_case(cluster, f"p{n}", spec,
+                case = run_net_case(cluster, f"p{n}", parse_plans(spec)[0],
                                     partition_expected=True)
                 result.cases.append(case)
                 result.partition_cases_run += 1
@@ -798,11 +655,11 @@ def run_net_phase(root: Path, *, quick: bool = False, sweep: bool = True,
                 f"seed {seed}")
             for i in range(fuzz):
                 rng = random.Random(seed * 1_000_003 + i)
-                composite = draw_fuzz_plan(rng, result.sites)
-                case = run_fuzz_case(cluster, i, composite)
+                case = run_fuzz_case(cluster, i,
+                                     draw_fuzz_plan(rng, result.sites))
                 result.fuzz_cases.append(case)
                 if not case.ok:
-                    say(f"FAIL fuzz case {i} [{composite.spec}]: "
+                    say(f"FAIL fuzz case {i} [{case.point}]: "
                         f"{'; '.join(case.errors)} — replay with: "
-                        f"repro crashsweep --plan '{composite.spec}'")
+                        f"repro crashsweep --plan '{case.point}'")
     return result

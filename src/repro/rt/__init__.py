@@ -21,25 +21,25 @@ LAN contention, failure injection), this package *runs* it:
 * :mod:`repro.rt.faultfs` — injectable storage I/O backends (the
   deterministic fault layer behind ``repro crashsweep``);
 * :mod:`repro.rt.chaosproxy` — a fault-injecting TCP proxy (stall,
-  latency, loss, one-way partition, byte corruption, and frame-level
-  :class:`~repro.rt.chaosproxy.NetFaultPlan` faults targeting exact
-  protocol messages) so network faults compose with storage faults.
+  one-way partition, and frame-level ``net.*`` fault plans targeting
+  exact protocol messages) so network faults compose with storage
+  faults.
 
 The core protocol logic (interval merging, quorum sizes, recovery
 steps, retry schedule) is imported from :mod:`repro.core` unchanged —
 the runtime swaps the simulated transport and storage for real ones.
 """
 
-from .chaosproxy import (
-    ChaosProxy,
-    NetFaultPlan,
-    ProxiedCluster,
-    ProxyFleet,
-    parse_net_plans,
-)
+from .chaosproxy import ChaosProxy, ProxiedCluster, ProxyFleet
 from .client import AsyncReplicatedLog, ServerConnection, async_retry
 from .cluster import LoopbackCluster, ServerProcess
-from .faultfs import FaultInjector, FaultPlan, PassthroughIO, PowerLoss
+from .faultfs import (
+    FaultInjector,
+    FaultPlan,
+    PassthroughIO,
+    PowerLoss,
+    parse_plans,
+)
 from .filestore import FileLogStore, FilePageStore
 from .loadgen import (
     LoadReport,
@@ -75,7 +75,6 @@ __all__ = [
     "LogServerDaemon",
     "LoopbackCluster",
     "MultiLoadReport",
-    "NetFaultPlan",
     "PassthroughIO",
     "PlacementDirectory",
     "PowerLoss",
@@ -88,7 +87,7 @@ __all__ = [
     "derive_client_seed",
     "load_cluster_spec",
     "loadgen_client_ids",
-    "parse_net_plans",
+    "parse_plans",
     "qualified_client_id",
     "run_loadgen",
     "run_loadgen_sync",

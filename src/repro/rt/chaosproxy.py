@@ -8,29 +8,26 @@ of :mod:`repro.rt.clientfault` in one sweep.
 
 Two layers of faults:
 
-**Byte-level knobs** (the original vocabulary, applied per 4096-byte
-chunk):
+**Connection-level toggles**, flipped at runtime:
 
 * **stall** — stop forwarding in both directions while still reading
   from the peer (the observable behavior of a SIGSTOP'd server: TCP
   connects succeed, small sends land in kernel buffers, replies stop);
-* **latency** — a fixed per-chunk forwarding delay;
-* **loss** — drop a chunk with probability ``loss_rate``;
 * **one-way partition** — drop *everything* in one direction while the
   other keeps flowing (the asymmetric gray failure keep-alive probes
   are for).  :meth:`partition` and :meth:`heal` are both
-  per-direction;
-* **corruption** — flip one bit of a chunk with probability
-  ``corrupt_rate``.
+  per-direction.
 
-**Frame-level plans** (:class:`NetFaultPlan`): when ``plans`` or
-``record`` is set, each pump direction runs an incremental
-:class:`~repro.net.codec.FrameScanner`, so faults target *protocol
-messages* instead of arbitrary byte windows.  A plan's crash point is
-``net.<kind>.<dir>:<index>`` — the ``index``-th frame of message kind
-``kind`` (a Figure 4-1 type name: ``writelog``, ``forcelog``,
-``newhighlsn``, ...) crossing the proxy in direction ``dir`` (``c2s``
-or ``s2c``) — and its action one of :data:`NET_ACTIONS`:
+**Frame-level plans** (``net.*`` :class:`~repro.rt.faultfs.FaultPlan`
+tokens of the shared grammar, :func:`~repro.rt.faultfs.parse_plans`):
+when ``plans`` or ``record`` is set, each pump direction runs an
+incremental :class:`~repro.net.codec.FrameScanner`, so faults target
+*protocol messages* instead of arbitrary byte windows.  A plan's crash
+point is ``net.<kind>.<dir>:<index>`` — the ``index``-th frame of
+message kind ``kind`` (a Figure 4-1 type name: ``writelog``,
+``forcelog``, ``newhighlsn``, ...) crossing the proxy in direction
+``dir`` (``c2s`` or ``s2c``) — and its action one of
+:data:`~repro.rt.faultfs.NET_ACTIONS`:
 
 ``drop``
     swallow the frame (a lost message; TCP framing stays intact);
@@ -57,10 +54,12 @@ or ``s2c``) — and its action one of :data:`NET_ACTIONS`:
     forward the frame, then close both sides of this connection.
 
 Frame indices count per ``(kind, direction)`` site across the proxy's
-lifetime, so the timing-dependent keep-alive ping/pong traffic never
-shifts another kind's indices and a traced clean run enumerates
-replayable points.  Loss and corruption are driven by a seeded
-:class:`random.Random`, so a chaos run is replayable from its seed.
+lifetime (counted by the same :class:`~repro.rt.faultfs.PointCounter`
+the storage and client injectors use), so the timing-dependent
+keep-alive ping/pong traffic never shifts another kind's indices and a
+traced clean run enumerates replayable points.  The bit a corruption
+flips is drawn from a :class:`random.Random` seeded with ``seed``, so
+a chaos run is replayable.
 
 :class:`ProxiedCluster` is the in-process daemon fixture from the
 back-pressure tests — now with *every* daemon behind its own proxy —
@@ -73,168 +72,41 @@ from __future__ import annotations
 import asyncio
 import os
 import random
-from dataclasses import dataclass, field
 
 from ..net.codec import (
     FRAME_PREFIX_BYTES,
     MESSAGE_HEADER_BYTES,
-    NAME_TYPES,
     FrameScanner,
     WireCodecError,
 )
-from .faultfs import FaultSpecError, _split_spec
+from .faultfs import FaultPlan, FaultSpecError, PointCounter
 from .filestore import FileLogStore
 from .server import LogServerDaemon
 
 #: Valid ``direction`` arguments to :meth:`ChaosProxy.partition`.
 DIRECTIONS = ("c2s", "s2c", "both")
 
-#: Frame directions a :class:`NetFaultPlan` can name (``both`` is a
-#: partition-toggle convenience, not a frame direction).
-FRAME_DIRECTIONS = ("c2s", "s2c")
-
-#: Frame-level fault actions, in the grammar's vocabulary.
-NET_ACTIONS = ("drop", "corrupt-payload", "corrupt-header",
-               "truncate-mid-frame", "delay", "duplicate",
-               "partition-after", "kill-connection-after")
-
 #: Offset of the message body within a full frame image.
 _BODY_OFFSET = FRAME_PREFIX_BYTES + MESSAGE_HEADER_BYTES
-
-
-@dataclass(frozen=True)
-class NetFaultPlan:
-    """Arm ``action`` at the ``index``-th ``kind`` frame in ``direction``.
-
-    The spec grammar is symmetric with the storage and client fault
-    plans (``SITE:IDX:ACTION``): ``net.<kind>.<dir>:<idx>:<action>``,
-    optionally prefixed ``<server>@`` to route the plan to one server's
-    proxy in a :class:`ProxyFleet` (composite fuzz plans mix the three
-    families in one comma-separated string).
-    """
-
-    kind: str
-    direction: str
-    index: int
-    action: str
-    server: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in NAME_TYPES:
-            raise FaultSpecError(
-                self.spec, self.kind,
-                "is not a wire message kind (see net.codec.NAME_TYPES)",
-            )
-        if self.direction not in FRAME_DIRECTIONS:
-            raise FaultSpecError(
-                self.spec, self.direction,
-                f"is not a frame direction (one of "
-                f"{', '.join(FRAME_DIRECTIONS)})",
-            )
-        if self.index < 0:
-            raise FaultSpecError(self.spec, str(self.index),
-                                 "is a negative frame index")
-        if self.action not in NET_ACTIONS:
-            raise FaultSpecError(
-                self.spec, self.action,
-                f"is not a network fault action (one of "
-                f"{', '.join(NET_ACTIONS)})",
-            )
-
-    @property
-    def site(self) -> str:
-        return f"net.{self.kind}.{self.direction}"
-
-    @property
-    def point(self) -> str:
-        return f"{self.site}:{self.index}"
-
-    @property
-    def spec(self) -> str:
-        prefix = f"{self.server}@" if self.server else ""
-        return f"{prefix}{self.site}:{self.index}:{self.action}"
-
-    @classmethod
-    def parse(cls, spec: str) -> "NetFaultPlan":
-        """Parse ``[server@]net.<kind>.<dir>:<idx>:<action>``.
-
-        Malformed input raises :class:`FaultSpecError` naming the bad
-        token, exactly like the storage grammar it mirrors.
-        """
-        server, sep, body = spec.partition("@")
-        if not sep:
-            server, body = "", spec
-        elif not server:
-            raise FaultSpecError(spec, spec,
-                                 "has an empty server id before '@'")
-        site, index_s, action = _split_spec(body, None)
-        parts = site.split(".")
-        if len(parts) != 3 or parts[0] != "net":
-            raise FaultSpecError(
-                spec, site,
-                "is not a network fault site (net.<kind>.<dir>)",
-            )
-        try:
-            index = int(index_s)
-        except ValueError:
-            raise FaultSpecError(spec, index_s,
-                                 "is not an integer frame index") from None
-        return cls(kind=parts[1], direction=parts[2], index=index,
-                   action=action, server=server)
-
-
-def parse_net_plans(spec: str) -> tuple[NetFaultPlan, ...]:
-    """Parse a comma-separated multi-plan string of network faults.
-
-    Mirrors :func:`repro.rt.faultfs.parse_fault_plans`: whitespace
-    around tokens is tolerated; an empty string, empty token, duplicate
-    ``(server, point)``, or malformed token raises
-    :class:`FaultSpecError`.
-    """
-    tokens = [token.strip() for token in spec.split(",")]
-    if tokens == [""]:
-        raise FaultSpecError(spec, spec, "is an empty fault plan")
-    plans: list[NetFaultPlan] = []
-    for token in tokens:
-        if not token:
-            raise FaultSpecError(spec, token,
-                                 "is an empty token between commas")
-        plans.append(NetFaultPlan.parse(token))
-    points = [(plan.server, plan.point) for plan in plans]
-    for key in points:
-        if points.count(key) > 1:
-            raise FaultSpecError(spec, f"{key[0]}@{key[1]}" if key[0]
-                                 else key[1], "is armed twice in one plan")
-    return tuple(plans)
 
 
 class ChaosProxy:
     """A loopback TCP proxy that misbehaves on command.
 
-    The zero-argument fault knobs (``stall``, ``partition``) are
-    toggled at runtime; the probabilistic ones (``latency_s``,
-    ``loss_rate``, ``corrupt_rate``) are constructor parameters and are
-    applied per 4096-byte chunk, deterministically from ``seed``.
-    Frame-level behavior (``plans``, ``record``) is documented in the
-    module docstring.
+    The connection-level toggles (``stall``, ``partition``) are flipped
+    at runtime; frame-level behavior (``plans``, ``record``) is
+    documented in the module docstring.
     """
 
     def __init__(self, upstream_host: str, upstream_port: int, *,
-                 latency_s: float = 0.0, loss_rate: float = 0.0,
-                 corrupt_rate: float = 0.0, seed: int = 0,
-                 plans: tuple[NetFaultPlan, ...] = (),
+                 seed: int = 0, plans: tuple[FaultPlan, ...] = (),
                  record: bool = False, net_delay_s: float = 0.25):
         self.upstream = (upstream_host, upstream_port)
         self.stalled = asyncio.Event()
         self.stalled.set()  # set == flowing
-        self.latency_s = latency_s
-        self.loss_rate = loss_rate
-        self.corrupt_rate = corrupt_rate
         self.seed = seed
-        self.plans = tuple(plans)
-        self.record = record
         self.net_delay_s = net_delay_s
-        self._frame_aware = bool(self.plans) or record
+        self._frame_aware = bool(plans) or record
         self._rng = random.Random(seed)
         self._blocked: set[str] = set()
         self._server: asyncio.AbstractServer | None = None
@@ -242,15 +114,14 @@ class ChaosProxy:
         self.port = 0
         #: frame site → invocations seen (proxy-global, so indices are
         #: stable across the reconnects a killed connection causes).
-        self._site_counts: dict[str, int] = {}
-        #: every frame point seen, in order (``record`` mode).
-        self.trace: list[str] = []
+        self.points = PointCounter(plans)
+        #: every frame point seen, in order.
+        self.trace = self.points.trace
         #: first armed point that fired, as ``point:action``.
         self.tripped: str | None = None
         self.faults_injected = 0
         self.bytes_forwarded = 0
         self.chunks_dropped = 0
-        self.chunks_corrupted = 0
         #: per-direction drop counters (chunks and frames both count).
         self.dropped_by_direction: dict[str, int] = {"c2s": 0, "s2c": 0}
         self.frames_forwarded = 0
@@ -353,26 +224,13 @@ class ChaosProxy:
                     self.chunks_dropped += 1
                     self.dropped_by_direction[direction] += 1
                     continue
-                if self.loss_rate and self._rng.random() < self.loss_rate:
-                    self.chunks_dropped += 1
-                    self.dropped_by_direction[direction] += 1
-                    continue
-                if self.corrupt_rate \
-                        and self._rng.random() < self.corrupt_rate:
-                    pos = self._rng.randrange(len(chunk))
-                    bit = 1 << self._rng.randrange(8)
-                    chunk = chunk[:pos] \
-                        + bytes([chunk[pos] ^ bit]) + chunk[pos + 1:]
-                    self.chunks_corrupted += 1
-                if self.latency_s:
-                    await asyncio.sleep(self.latency_s)
                 if not raw:
                     try:
                         frames = scanner.feed(chunk)
                     except WireCodecError:
-                        # Desynchronized (e.g. chunk-level corruption):
-                        # forward what is buffered verbatim and let the
-                        # endpoint's decoder reject it.
+                        # Desynchronized (the peer sent a corrupt
+                        # frame): forward what is buffered verbatim and
+                        # let the endpoint's decoder reject it.
                         self.scan_errors += 1
                         raw = True
                         chunk = scanner.take_buffer()
@@ -393,12 +251,6 @@ class ChaosProxy:
             except Exception:
                 pass
 
-    def _plan_for(self, site: str, index: int) -> NetFaultPlan | None:
-        for plan in self.plans:
-            if plan.site == site and plan.index == index:
-                return plan
-        return None
-
     def _flip_bit(self, data: bytes, lo: int, hi: int) -> bytes:
         pos = lo + self._rng.randrange(hi - lo)
         bit = 1 << self._rng.randrange(8)
@@ -407,18 +259,13 @@ class ChaosProxy:
     async def _forward_frame(self, frame, dst, direction,
                              close_both) -> bool:
         """Apply any armed plan to one frame; False ends the pump."""
-        site = f"net.{frame.kind}.{direction}"
-        index = self._site_counts.get(site, 0)
-        self._site_counts[site] = index + 1
-        if self.record:
-            self.trace.append(f"{site}:{index}")
+        plan = self.points.hit(f"net.{frame.kind}.{direction}")
         # Re-check the partition per frame: a ``partition-after`` armed
         # earlier in this same chunk must swallow the rest of it too.
         if direction in self._blocked:
             self.frames_dropped += 1
             self.dropped_by_direction[direction] += 1
             return True
-        plan = self._plan_for(site, index)
         data = frame.data
         partition_after = False
         if plan is not None:
@@ -505,9 +352,9 @@ class ProxiedCluster:
     """In-process daemons, each behind its own :class:`ChaosProxy`.
 
     ``proxy_kwargs`` are forwarded to the *faulty* server's proxy
-    constructor (``faulty``, default ``"s1"``), so a test can ask for
-    latency/loss/corruption/frame plans on one server without
-    rebuilding the fixture; the other servers get clean proxies.
+    constructor (``faulty``, default ``"s1"``), so a test can arm frame
+    plans on one server without rebuilding the fixture; the other
+    servers get clean proxies.
     ``proxy`` aliases the faulty server's proxy; ``proxies`` maps every
     server id to its own.
     """
@@ -559,13 +406,14 @@ class ProxyFleet:
 
     The network crash sweep fronts a real
     :class:`~repro.rt.cluster.LoopbackCluster` with one of these per
-    case: each :class:`NetFaultPlan` is routed to the proxy of its
-    ``server`` field (``default_target`` when unset), ``record_server``
-    names the proxy that traces frame points for enumeration, and the
-    client under test is pointed at :meth:`addresses`.
+    case: each ``net.*`` :class:`~repro.rt.faultfs.FaultPlan` is routed
+    to the proxy of its ``server`` field (``default_target`` when
+    unset), ``record_server`` names the proxy that traces frame points
+    for enumeration, and the client under test is pointed at
+    :meth:`addresses`.
     """
 
-    def __init__(self, addresses, *, plans: tuple[NetFaultPlan, ...] = (),
+    def __init__(self, addresses, *, plans: tuple[FaultPlan, ...] = (),
                  record_server: str | None = None,
                  default_target: str = "s1", seed: int = 0,
                  net_delay_s: float = 0.25):
@@ -573,7 +421,7 @@ class ProxyFleet:
         self._seed = seed
         self._net_delay_s = net_delay_s
         self.record_server = record_server
-        by_server: dict[str, list[NetFaultPlan]] = {}
+        by_server: dict[str, list[FaultPlan]] = {}
         for plan in plans:
             by_server.setdefault(plan.server or default_target,
                                  []).append(plan)

@@ -18,8 +18,8 @@ With no injector installed (the default), :func:`hit` is a dictionary
 miss and a ``None`` check — the production write path stays clean.
 A worker process installs one from the environment
 (:func:`install_from_env`, variables ``REPRO_CLIENT_FAULT_PLAN`` and
-``REPRO_CLIENT_FAULT_TRACE``); plans reuse the
-``SITE:IDX:ACTION`` grammar of :func:`repro.rt.faultfs.parse_fault_plans`
+``REPRO_CLIENT_FAULT_TRACE``); plans are ``client.SITE:IDX:ACTION``
+tokens of the shared grammar (:func:`repro.rt.faultfs.parse_plans`)
 with the client action vocabulary:
 
 ``exit``
@@ -44,11 +44,11 @@ import sys
 from pathlib import Path
 
 from .faultfs import (
-    CLIENT_ACTIONS,
     CRASH_BANNER,
     FAULT_EXIT_CODE,
     FaultPlan,
-    parse_fault_plans,
+    PointCounter,
+    parse_plans,
 )
 
 #: Environment variables the worker-process entry points read.
@@ -75,25 +75,15 @@ class ClientFaultInjector:
 
     def __init__(self, plans: tuple[FaultPlan, ...] = (), *,
                  trace_path: str | Path | None = None):
-        self.plans = tuple(plans)
-        self.counts: dict[str, int] = {}
-        self.trace: list[str] = []
+        self.points = PointCounter(plans, trace_path=trace_path)
+        self.trace = self.points.trace
         self.crashes = 0
-        self._trace_file = None
-        if trace_path is not None:
-            self._trace_file = open(trace_path, "a", buffering=1)
 
     def hit(self, site: str) -> None:
         """Record one invocation of ``site``; crash if it is armed."""
-        index = self.counts.get(site, 0)
-        self.counts[site] = index + 1
-        point = f"{site}:{index}"
-        self.trace.append(point)
-        if self._trace_file is not None:
-            self._trace_file.write(point + "\n")
-        for plan in self.plans:
-            if plan.site == site and plan.index == index:
-                self._crash(point, plan.action)
+        plan = self.points.hit(site)
+        if plan is not None:
+            self._crash(plan.point, plan.action)
 
     def _crash(self, point: str, action: str) -> None:
         self.crashes += 1
@@ -106,8 +96,7 @@ class ClientFaultInjector:
         raise ClientCrash(point)
 
     def close(self) -> None:
-        if self._trace_file is not None and not self._trace_file.closed:
-            self._trace_file.close()
+        self.points.close()
 
 
 #: The process-wide injector ``hit`` consults; ``None`` = production.
@@ -136,8 +125,7 @@ def install_from_env() -> ClientFaultInjector | None:
     trace = os.environ.get(TRACE_ENV)
     if not plan_s and not trace:
         return None
-    plans = parse_fault_plans(plan_s, actions=CLIENT_ACTIONS) \
-        if plan_s else ()
+    plans = parse_plans(plan_s, family="client") if plan_s else ()
     injector = ClientFaultInjector(plans, trace_path=trace)
     install(injector)
     return injector

@@ -1,4 +1,4 @@
-"""Injectable storage I/O backends for the real runtime.
+"""Injectable storage I/O backends, and the fault-plan grammar.
 
 :class:`FileLogStore` routes every mutating filesystem call — open,
 write, fsync, rename, directory fsync, unlink — through a backend
@@ -9,7 +9,7 @@ deterministic fault layer behind ``repro crashsweep``.
 Every call names its **site** (``log.write.record``, ``log.fsync``,
 ``log.group-fsync`` — the fsync a server group commit shares across
 parked ForceLogs — ``compact.rename``, ...).  The injector counts
-invocations per site, so
+invocations per site with a :class:`PointCounter`, so
 ``(site, index)`` identifies one exact I/O operation of a deterministic
 workload — a *crash point*.  A :class:`FaultPlan` arms one point with
 one action:
@@ -29,11 +29,19 @@ one action:
 ``power-loss``
     crash *before* the operation takes effect.
 
-A plan string may arm *several* points at once — comma-separated
-``SITE:IDX:ACTION`` specs, parsed by :func:`parse_fault_plans` — so a
-sweep case can model compound failures such as a torn ``compact.write``
-followed by power loss at the next ``compact.rename``.  Malformed
-specs raise :class:`FaultSpecError` naming the offending token.
+**One grammar for every injector family.**  The client protocol
+injector (:mod:`repro.rt.clientfault`) and the network proxy
+(:mod:`repro.rt.chaosproxy`) arm their points with the same
+:class:`FaultPlan`, read by the one parser :func:`parse_plans`:
+comma-separated ``[SERVER@]SITE:IDX:ACTION`` tokens, where the site
+prefix names the family — ``net.<kind>.<dir>`` a frame fault,
+``client.<site>`` a client protocol crash, anything else a storage
+fault — and each family has its own action table (:data:`FAMILIES`).
+A plan string may therefore arm *several* points at once, across
+families, so a sweep case can model compound failures such as a torn
+``compact.write`` followed by power loss at the next
+``compact.rename``.  Malformed specs raise :class:`FaultSpecError`
+naming the offending token.
 
 A crash freezes the disk in the state an ALICE-style crash-consistency
 model allows:
@@ -64,12 +72,15 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..net.codec import NAME_TYPES
+
 #: Exit status of a daemon killed by an injected power loss.
 FAULT_EXIT_CODE = 86
 
 #: The banner a daemon prints to stderr before an injected exit.
 CRASH_BANNER = "REPRO-FAULT-CRASH"
 
+#: Storage actions (this module's :class:`FaultInjector`).
 ACTIONS = ("enospc", "eio", "short-write", "torn", "bit-flip",
            "power-loss")
 
@@ -79,8 +90,21 @@ ACTIONS = ("enospc", "eio", "short-write", "torn", "bit-flip",
 #: :class:`ClientCrash` in-process (unit tests).
 CLIENT_ACTIONS = ("exit", "sigkill", "raise")
 
-#: Actions that end the run (vs. returning an error to the caller).
-_CRASH_ACTIONS = ("short-write", "power-loss")
+#: Frame actions of the network proxy (:mod:`repro.rt.chaosproxy`).
+NET_ACTIONS = ("drop", "corrupt-payload", "corrupt-header",
+               "truncate-mid-frame", "delay", "duplicate",
+               "partition-after", "kill-connection-after")
+
+#: Frame directions a ``net.<kind>.<dir>`` site can name.
+FRAME_DIRECTIONS = ("c2s", "s2c")
+
+#: family → (its action table, the action a two-part ``--point``
+#: replay ``SITE:IDX`` defaults to).
+FAMILIES = {
+    "storage": (ACTIONS, "power-loss"),
+    "client": (CLIENT_ACTIONS, "exit"),
+    "net": (NET_ACTIONS, "drop"),
+}
 
 _ERRNO_ACTIONS = {"enospc": errno.ENOSPC, "eio": errno.EIO}
 
@@ -115,25 +139,66 @@ class PowerLoss(BaseException):
         self.point = point
 
 
+def family_of(site: str) -> str:
+    """``net.*`` and ``client.*`` sites name their family; any other
+    site is a storage site."""
+    head = site.split(".", 1)[0]
+    return head if head in ("net", "client") else "storage"
+
+
 @dataclass(frozen=True)
 class FaultPlan:
-    """Arm ``action`` at the ``index``-th invocation of ``site``."""
+    """Arm ``action`` at the ``index``-th invocation of ``site``.
+
+    ``server`` routes the plan to one server — the daemon that arms a
+    storage fault, or the proxy that arms a frame fault — and is empty
+    when the harness's default target applies.  Client faults run in
+    the client process and take no server.
+    """
 
     site: str
     index: int
     action: str
+    server: str = ""
 
     def __post_init__(self) -> None:
-        if self.action not in ACTIONS + CLIENT_ACTIONS:
-            raise FaultSpecError(
-                f"{self.site}:{self.index}:{self.action}", self.action,
-                f"is not a fault action (one of {', '.join(ACTIONS)})",
-            )
+        spec = self.spec
+        family = self.family
+        if not self.site:
+            raise FaultSpecError(spec, self.site, "is an empty site name")
         if self.index < 0:
+            raise FaultSpecError(spec, str(self.index),
+                                 "is a negative invocation index")
+        actions = FAMILIES[family][0]
+        if self.action not in actions:
             raise FaultSpecError(
-                f"{self.site}:{self.index}:{self.action}", str(self.index),
-                "is a negative invocation index",
+                spec, self.action,
+                f"is not a {family} fault action (one of "
+                f"{', '.join(actions)})",
             )
+        if family == "client" and self.server:
+            raise FaultSpecError(
+                spec, spec, "routes a client fault to a server (client "
+                "faults run in the client process)")
+        if family == "net":
+            parts = self.site.split(".")
+            if len(parts) != 3:
+                raise FaultSpecError(
+                    spec, self.site,
+                    "is not a network fault site (net.<kind>.<dir>)")
+            if parts[1] not in NAME_TYPES:
+                raise FaultSpecError(
+                    spec, parts[1],
+                    "is not a wire message kind (see net.codec.NAME_TYPES)")
+            if parts[2] not in FRAME_DIRECTIONS:
+                raise FaultSpecError(
+                    spec, parts[2],
+                    f"is not a frame direction (one of "
+                    f"{', '.join(FRAME_DIRECTIONS)})")
+
+    @property
+    def family(self) -> str:
+        return family_of(self.site)
 
     @property
     def point(self) -> str:
@@ -141,63 +206,46 @@ class FaultPlan:
 
     @property
     def spec(self) -> str:
-        return f"{self.site}:{self.index}:{self.action}"
-
-    @classmethod
-    def parse(cls, spec: str, *, actions: tuple[str, ...] = ACTIONS,
-              default_action: str | None = None) -> "FaultPlan":
-        """Parse ``site:index:action`` (e.g. ``log.fsync:2:power-loss``).
-
-        Every malformed input raises :class:`FaultSpecError` naming the
-        bad token: a spec with the wrong shape, an empty site, a
-        non-integer or negative index, or an action outside ``actions``
-        (callers with their own action vocabulary — the client-side
-        injector — pass theirs).  ``default_action`` fills in a
-        two-token ``site:index`` spec when given.
-        """
-        site, index_s, action = _split_spec(spec, default_action)
-        if not site:
-            raise FaultSpecError(spec, site, "is an empty site name")
-        try:
-            index = int(index_s)
-        except ValueError:
-            raise FaultSpecError(
-                spec, index_s, "is not an integer invocation index"
-            ) from None
-        if index < 0:
-            raise FaultSpecError(spec, index_s,
-                                 "is a negative invocation index")
-        if action not in actions:
-            raise FaultSpecError(
-                spec, action,
-                f"is not a fault action (one of {', '.join(actions)})",
-            )
-        return cls(site=site, index=index, action=action)
+        prefix = f"{self.server}@" if self.server else ""
+        return f"{prefix}{self.site}:{self.index}:{self.action}"
 
 
-def _split_spec(spec: str, default_action: str | None
-                ) -> tuple[str, str, str]:
-    """Split one ``site:index[:action]`` token, shape-checked."""
-    parts = spec.rsplit(":", 2)
-    if len(parts) == 2 and default_action is not None:
-        return parts[0], parts[1], default_action
+def _parse_token(token: str, defaults: bool) -> FaultPlan:
+    server, sep, body = token.partition("@")
+    if not sep:
+        server, body = "", token
+    elif not server:
+        raise FaultSpecError(token, token,
+                             "has an empty server id before '@'")
+    parts = body.rsplit(":", 2)
+    if len(parts) == 2 and defaults:
+        parts.append(FAMILIES[family_of(parts[0])][1])
     if len(parts) != 3:
-        raise FaultSpecError(
-            spec, spec,
-            "does not have the shape SITE:IDX:ACTION",
-        )
-    return parts[0], parts[1], parts[2]
+        raise FaultSpecError(token, token,
+                             "does not have the shape SITE:IDX:ACTION")
+    site, index, action = parts
+    try:
+        index_n = int(index)
+    except ValueError:
+        raise FaultSpecError(token, index,
+                             "is not an integer invocation index") from None
+    return FaultPlan(site=site, index=index_n, action=action, server=server)
 
 
-def parse_fault_plans(spec: str, *, actions: tuple[str, ...] = ACTIONS
-                      ) -> tuple[FaultPlan, ...]:
-    """Parse a comma-separated multi-fault plan string.
+def parse_plans(spec: str, *, family: str | None = None,
+                defaults: bool = False) -> tuple[FaultPlan, ...]:
+    """Parse a comma-separated ``[SERVER@]SITE:IDX:ACTION`` plan string.
 
     ``"compact.write:1:torn,compact.rename:0:power-loss"`` arms two
-    points in one run.  Whitespace around tokens is tolerated; an empty
-    string, an empty token between commas, a duplicate crash point, or
-    any malformed ``SITE:IDX:ACTION`` raises :class:`FaultSpecError`
-    naming the bad token.
+    points in one run; ``"net.writelog.c2s:1:drop,s2@log.fsync:2:eio,
+    client.force.ack:0:raise"`` mixes all three families.  Whitespace
+    around tokens is tolerated.  ``family`` restricts the plan to one
+    injector family (a daemon's ``--fault-plan`` takes storage faults
+    only); ``defaults`` lets a two-part ``SITE:IDX`` token take its
+    family's default action (the ``--point`` replay shorthand).  An
+    empty string, an empty token between commas, a point armed twice
+    on one server, or any malformed token raises
+    :class:`FaultSpecError` naming the bad token.
     """
     tokens = [token.strip() for token in spec.split(",")]
     if tokens == [""]:
@@ -207,14 +255,51 @@ def parse_fault_plans(spec: str, *, actions: tuple[str, ...] = ACTIONS
         if not token:
             raise FaultSpecError(spec, token,
                                  "is an empty token between commas")
-        plans.append(FaultPlan.parse(token, actions=actions))
-    points = [plan.point for plan in plans]
-    for point in points:
-        if points.count(point) > 1:
-            raise FaultSpecError(
-                spec, point, "is armed twice in one plan"
-            )
+        try:
+            plan = _parse_token(token, defaults)
+        except FaultSpecError as exc:
+            raise FaultSpecError(spec, exc.token, exc.reason) from None
+        if family is not None and plan.family != family:
+            raise FaultSpecError(spec, token, f"is not a {family} fault")
+        plans.append(plan)
+    armed = [plan.spec.rsplit(":", 1)[0] for plan in plans]
+    for key in armed:
+        if armed.count(key) > 1:
+            raise FaultSpecError(spec, key, "is armed twice in one plan")
     return tuple(plans)
+
+
+class PointCounter:
+    """Number each invocation of a site; look up the plan armed there.
+
+    The storage, client and network injectors all count through one of
+    these, so ``(site, index)`` means the same thing in every family.
+    Every point reached is appended to :attr:`trace` (and to
+    ``trace_path``, line-buffered so the trace survives a kill), which
+    is how the sweeps enumerate a workload's crash points.
+    """
+
+    def __init__(self, plans=(), *, trace_path: str | Path | None = None):
+        self.armed = {(plan.site, plan.index): plan for plan in plans}
+        self.counts: dict[str, int] = {}
+        self.trace: list[str] = []
+        self._trace_file = None
+        if trace_path is not None:
+            self._trace_file = open(trace_path, "a", buffering=1)
+
+    def hit(self, site: str) -> FaultPlan | None:
+        """Count one invocation of ``site``; return its armed plan."""
+        index = self.counts.get(site, 0)
+        self.counts[site] = index + 1
+        point = f"{site}:{index}"
+        self.trace.append(point)
+        if self._trace_file is not None:
+            self._trace_file.write(point + "\n")
+        return self.armed.get((site, index))
+
+    def close(self) -> None:
+        if self._trace_file is not None and not self._trace_file.closed:
+            self._trace_file.close()
 
 
 class PassthroughIO:
@@ -286,31 +371,20 @@ class TrackedFile:
 class FaultInjector(PassthroughIO):
     """Deterministic fault-injecting backend.
 
-    With ``plan=None`` it is a *recording* passthrough: every site
+    With no plans it is a *recording* passthrough: every site
     invocation is appended to :attr:`trace` (and ``trace_path`` if
-    given), which is how the sweep enumerates crash points.  With a
-    plan, the armed point misbehaves as described in the module
-    docstring.
+    given), which is how the sweep enumerates crash points.  Each armed
+    point misbehaves as described in the module docstring.
     """
 
-    def __init__(self, plan=None, *,
+    def __init__(self, plans: tuple[FaultPlan, ...] = (), *,
                  mode: str = "raise",
                  trace_path: str | Path | None = None):
         if mode not in ("raise", "exit"):
             raise ValueError(f"mode must be 'raise' or 'exit', not {mode!r}")
-        if plan is None:
-            plans: tuple[FaultPlan, ...] = ()
-        elif isinstance(plan, FaultPlan):
-            plans = (plan,)
-        else:
-            plans = tuple(plan)
-        #: every armed point (combined-fault plans arm several).
-        self.plans = plans
-        #: the single armed plan, for the common one-fault case.
-        self.plan = plans[0] if len(plans) == 1 else None
         self.mode = mode
-        self.counts: dict[str, int] = {}
-        self.trace: list[str] = []
+        self.points = PointCounter(plans, trace_path=trace_path)
+        self.trace = self.points.trace
         self.faults_injected = 0
         #: set to the crash point once a simulated power loss happened;
         #: any further I/O raises :class:`PowerLoss` again so stray
@@ -323,9 +397,6 @@ class FaultInjector(PassthroughIO):
         #: directory operations not yet covered by a directory fsync,
         #: in execution order, as (dirpath, op-tuple).
         self._pending_ops: list[tuple[str, tuple]] = []
-        self._trace_file = None
-        if trace_path is not None:
-            self._trace_file = open(trace_path, "a", buffering=1)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -333,16 +404,8 @@ class FaultInjector(PassthroughIO):
         """Count one invocation; return the armed action, if any."""
         if self.tripped is not None:
             raise PowerLoss(self.tripped)
-        index = self.counts.get(site, 0)
-        self.counts[site] = index + 1
-        point = f"{site}:{index}"
-        self.trace.append(point)
-        if self._trace_file is not None:
-            self._trace_file.write(point + "\n")
-        for plan in self.plans:
-            if plan.site == site and plan.index == index:
-                return plan.action
-        return None
+        plan = self.points.hit(site)
+        return plan.action if plan is not None else None
 
     def _point(self) -> str:
         return self.trace[-1]
@@ -517,5 +580,4 @@ class FaultInjector(PassthroughIO):
                 tracked.close()
             except OSError:
                 pass
-        if self._trace_file is not None and not self._trace_file.closed:
-            self._trace_file.close()
+        self.points.close()

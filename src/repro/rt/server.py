@@ -86,7 +86,7 @@ from ..net.messages import (
     WriteLogMsg,
 )
 from ..net.packet import PACKET_PAYLOAD_BYTES
-from .faultfs import FaultInjector, parse_fault_plans
+from .faultfs import FaultInjector, parse_plans
 from .filestore import FileLogStore
 from .placement import TenantQuota, load_cluster_spec, tenant_of
 
@@ -625,7 +625,8 @@ async def run_server(
     """
     io = None
     if fault_plan is not None or fault_trace is not None:
-        plans = parse_fault_plans(fault_plan) if fault_plan else ()
+        plans = parse_plans(fault_plan, family="storage") if fault_plan \
+            else ()
         io = FaultInjector(plans, mode="exit", trace_path=fault_trace)
     quotas = (load_cluster_spec(cluster_spec).quotas
               if cluster_spec is not None else None)

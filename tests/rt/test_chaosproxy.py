@@ -1,8 +1,9 @@
 """The reusable network chaos layer (:mod:`repro.rt.chaosproxy`).
 
 The stall knob is exercised at length by ``test_backpressure.py``;
-these tests cover the knobs that were added when the proxy was promoted
-out of that file: latency, loss, one-way partitions, and corruption.
+these tests cover what was added when the proxy was promoted out of
+that file: one-way partitions, and frame plans that delay, lose or
+corrupt traffic.
 """
 
 from __future__ import annotations
@@ -17,21 +18,26 @@ from repro.core.errors import LogError, ServerUnavailable
 from repro.net.messages import IntervalListCall
 from repro.rt.chaosproxy import ChaosProxy, ProxiedCluster
 from repro.rt.client import AsyncReplicatedLog, ServerConnection
+from repro.rt.faultfs import parse_plans
 
 CONFIG = ReplicationConfig(total_servers=3, copies=2, delta=8)
 
 
 def test_latency_delays_every_round_trip(tmp_path):
     async def main():
-        async with ProxiedCluster(tmp_path, latency_s=0.05) as cluster:
+        async with ProxiedCluster(
+                tmp_path, net_delay_s=0.1,
+                plans=parse_plans("net.intervallistcall.c2s:0:delay")
+        ) as cluster:
             conn = ServerConnection("s1", "127.0.0.1", cluster.proxy.port,
                                     timeout=5.0, client_id="c1")
             await conn.connect()
             t0 = time.monotonic()
             await conn.call(IntervalListCall("c1"))
             elapsed = time.monotonic() - t0
-            # one chunk each way through the proxy: >= 2 * latency
+            # the call frame is held net_delay_s before forwarding
             assert elapsed >= 0.09
+            assert cluster.proxy.frames_delayed == 1
             assert cluster.proxy.bytes_forwarded > 0
             await conn.close()
 
@@ -63,7 +69,8 @@ def test_one_way_partition_starves_replies(tmp_path):
 
 def test_total_loss_blocks_progress_spares_carry_it(tmp_path):
     async def main():
-        async with ProxiedCluster(tmp_path, loss_rate=1.0) as cluster:
+        async with ProxiedCluster(tmp_path) as cluster:
+            cluster.proxy.partition("both")
             log = AsyncReplicatedLog("c1", cluster.addresses(), CONFIG,
                                      timeout=1.0)
             await log.initialize()  # s1 unusable; spares answer
@@ -80,8 +87,10 @@ def test_total_loss_blocks_progress_spares_carry_it(tmp_path):
 
 def test_corruption_is_detected_not_accepted(tmp_path):
     async def main():
-        async with ProxiedCluster(tmp_path, corrupt_rate=1.0,
-                                  seed=7) as cluster:
+        async with ProxiedCluster(
+                tmp_path, seed=7,
+                plans=parse_plans("net.intervallistcall.c2s:0:corrupt-header")
+        ) as cluster:
             conn = ServerConnection("s1", "127.0.0.1", cluster.proxy.port,
                                     timeout=1.0, client_id="c1")
             await conn.connect()
@@ -90,7 +99,7 @@ def test_corruption_is_detected_not_accepted(tmp_path):
             # return corrupt data as success.
             with pytest.raises((ServerUnavailable, LogError)):
                 await conn.call(IntervalListCall("c1"))
-            assert cluster.proxy.chunks_corrupted >= 1
+            assert cluster.proxy.frames_corrupted >= 1
             await conn.close()
 
     asyncio.run(main())

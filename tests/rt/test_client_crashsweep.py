@@ -24,13 +24,8 @@ import asyncio
 import pytest
 
 from repro.core.errors import ServerUnavailable
-from repro.harness.crashsweep import (
-    SweepConfig,
-    _client_verify,
-    _parse_worker_journal,
-    _WorkerJournal,
-    run_crashsweep,
-)
+from repro.harness.crashsweep import SweepConfig, run_crashsweep
+from repro.harness.history import History, check
 from repro.net.messages import IntervalListCall, ForceLogMsg
 from repro.rt.client import ServerConnection
 
@@ -112,7 +107,7 @@ def test_connect_fails_stale_routing_state():
 def _journal(tmp_path, name, lines):
     path = tmp_path / name
     path.write_text("".join(line + "\n" for line in lines))
-    return _parse_worker_journal(path)
+    return History.load(path)
 
 
 def test_parse_worker_journal(tmp_path):
@@ -129,40 +124,62 @@ def test_parse_worker_journal(tmp_path):
         f"POST 8 {b'bb'.hex()}",
         "POSTACK 8",
         "RECOVERED 4 8",
+        "FENCED",
         "DONE",
     ])
-    assert j.epoch == 3
+    assert j.epochs == [3]
     assert j.attempts == {1: b"aa"}
     assert j.lsn_of == {1: 5}
     assert j.acked_high == 5
     assert j.trunc_req == 4 and j.trunc_mark == 4
     assert j.finals == {5: ("1", b"aa"), 6: ("0", None), 7: ("-", None)}
     assert j.posts == {8: b"bb"}
-    assert j.postack == 8
+    assert j.post_acked == 8
     assert (j.rec_epoch, j.rec_high) == (4, 8)
-    assert j.done
+    assert j.fenced and j.done
+    # What the recorder writes through its sink, the loader reads back.
+    lines: list[str] = []
+    echo = History(sink=lines.append)
+    echo.epoch(3)
+    echo.lsn(echo.attempt(b"aa"), 5)
+    echo.ack(5)
+    echo.final(6, "0")
+    echo.final(5, "1", b"aa")
+    again = _journal(tmp_path, "echo.journal", lines)
+    assert (again.epochs, again.attempts, again.lsn_of, again.acked_high,
+            again.finals) == (echo.epochs, echo.attempts, echo.lsn_of,
+                              echo.acked_high, echo.finals)
 
 
 def test_parse_worker_journal_missing_file(tmp_path):
-    j = _parse_worker_journal(tmp_path / "never-written.journal")
-    assert not j.done and j.epoch == 0 and j.finals == {}
+    j = History.load(tmp_path / "never-written.journal")
+    assert not j.done and j.epochs == [] and j.finals == {}
 
 
-def _run_journal(**kw) -> _WorkerJournal:
-    j = _WorkerJournal(epoch=1, attempts={1: b"r1", 2: b"r2"},
-                       lsn_of={1: 5, 2: 6}, acked_high=6, done=True)
-    for key, value in kw.items():
-        setattr(j, key, value)
-    return j
+def _run_journal(trunc_req: int = 0) -> History:
+    run = History()
+    run.epoch(1)
+    for data, lsn in ((b"r1", 5), (b"r2", 6)):
+        run.lsn(run.attempt(data), lsn)
+    run.ack(6)
+    if trunc_req:
+        run.truncreq(trunc_req)
+    run.finish()
+    return run
 
 
-def _recovered(epoch, finals, **kw) -> _WorkerJournal:
-    j = _WorkerJournal(rec_epoch=epoch, rec_high=max(finals, default=0),
-                       finals=dict(finals), done=True,
-                       posts={7: b"p"}, postack=7)
-    for key, value in kw.items():
-        setattr(j, key, value)
-    return j
+def _recovered(epoch, finals) -> History:
+    """A read-back that restarted at ``epoch``, saw ``finals``, then
+    committed and read back the post-recovery write ``7: b"p"``."""
+    rb = History()
+    rb.recovered(epoch, max(finals, default=0))
+    for lsn, (state, data) in finals.items():
+        rb.final(lsn, state, data)
+    rb.post(7, b"p")
+    rb.postack(7)
+    rb.final(7, "1", b"p")
+    rb.finish()
+    return rb
 
 
 def test_client_verify_accepts_clean_recovery():
@@ -170,7 +187,7 @@ def test_client_verify_accepts_clean_recovery():
     base = {5: ("1", b"r1"), 6: ("1", b"r2"), 7: ("1", b"p")}
     rec1 = _recovered(2, {5: ("1", b"r1"), 6: ("1", b"r2")})
     rec2 = _recovered(3, base)
-    assert _client_verify(run, rec1, rec2) == []
+    assert check(run, rec1, rec2) == []
 
 
 def test_client_verify_flags_lost_ack_and_fabrication():
@@ -178,7 +195,7 @@ def test_client_verify_flags_lost_ack_and_fabrication():
     rec1 = _recovered(2, {5: ("1", b"r1"), 6: ("-", None)})
     rec2 = _recovered(3, {5: ("1", b"r1"), 6: ("-", None),
                           7: ("1", b"p"), 9: ("1", b"forged")})
-    errors = _client_verify(run, rec1, rec2)
+    errors = check(run, rec1, rec2)
     assert any("acked lsn 6 lost" in e for e in errors)
     assert any("fabricated lsn 9" in e for e in errors)
 
@@ -188,7 +205,7 @@ def test_client_verify_flags_non_monotone_epoch_and_divergence():
     rec1 = _recovered(1, {5: ("1", b"r1"), 6: ("1", b"r2")})
     rec2 = _recovered(1, {5: ("1", b"r1"), 6: ("0", None),
                           7: ("1", b"p")})
-    errors = _client_verify(run, rec1, rec2)
+    errors = check(run, rec1, rec2)
     assert any("epoch not monotone" in e for e in errors)
     assert any("not idempotent at lsn 6" in e for e in errors)
 
@@ -201,11 +218,11 @@ def test_client_verify_requested_truncation_may_or_may_not_apply():
     gone = _recovered(2, {5: ("-", None), 6: ("1", b"r2")})
     gone2 = _recovered(3, {5: ("-", None), 6: ("1", b"r2"),
                            7: ("1", b"p")})
-    assert _client_verify(run, gone, gone2) == []
+    assert check(run, gone, gone2) == []
     forged = _recovered(2, {5: ("1", b"not-r1"), 6: ("1", b"r2")})
     forged2 = _recovered(3, {5: ("1", b"not-r1"), 6: ("1", b"r2"),
                              7: ("1", b"p")})
-    errors = _client_verify(run, forged, forged2)
+    errors = check(run, forged, forged2)
     assert any("does not match" in e for e in errors)
 
 

@@ -55,3 +55,19 @@ def test_report_as_dict_is_json_shaped(tmp_path):
     payload = json.loads(json.dumps(report.as_dict()))
     assert payload["points_enumerated"] == report.points_enumerated
     assert payload["failures"] == []
+
+
+def test_replay_reports_whether_the_point_fired(tmp_path):
+    """A storage replay past the end of the trace (or at a misspelled
+    site) must say so, not pass as if the crash had been survived."""
+    for n, (point, hit) in enumerate((("log.fsync:999", False),
+                                      ("log.fsync:0", True))):
+        lines: list[str] = []
+        report = run_crashsweep(SweepConfig(
+            root_dir=str(tmp_path / str(n)), daemon=False, point=point,
+        ), progress=lines.append)
+        (case,) = report.cases
+        assert case.hit is hit
+        assert case.ok, case.errors
+        assert any("point not reached" in line for line in lines) \
+            is not hit

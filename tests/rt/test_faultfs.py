@@ -14,7 +14,7 @@ from repro.core.records import StoredRecord
 from repro.net.codec import WireCodecError, decode_stored_record, \
     encode_stored_record
 from repro.rt.faultfs import FaultInjector, FaultPlan, FaultSpecError, \
-    PassthroughIO, PowerLoss, parse_fault_plans
+    PassthroughIO, PowerLoss, parse_plans
 from repro.rt.filestore import FileLogStore
 
 
@@ -24,15 +24,18 @@ def rec(lsn, epoch=1, data=None):
                         kind="data")
 
 
-# -- FaultPlan ------------------------------------------------------------
+# -- the plan grammar (storage family) ------------------------------------
 
 
 def test_fault_plan_parse_roundtrip():
-    plan = FaultPlan.parse("log.write.record:7:power-loss")
-    assert (plan.site, plan.index, plan.action) \
-        == ("log.write.record", 7, "power-loss")
+    (plan,) = parse_plans("log.write.record:7:power-loss")
+    assert (plan.site, plan.index, plan.action, plan.family) \
+        == ("log.write.record", 7, "power-loss", "storage")
     assert plan.point == "log.write.record:7"
-    assert FaultPlan.parse(plan.spec) == plan
+    assert parse_plans(plan.spec) == (plan,)
+    # The --point shorthand: a two-part token takes the family default.
+    assert parse_plans("log.fsync:2", defaults=True) \
+        == (FaultPlan("log.fsync", 2, "power-loss"),)
 
 
 @pytest.mark.parametrize("spec,bad_token", [
@@ -44,21 +47,26 @@ def test_fault_plan_parse_roundtrip():
 ])
 def test_fault_plan_rejects_bad_specs(spec, bad_token):
     with pytest.raises(FaultSpecError) as excinfo:
-        FaultPlan.parse(spec)
+        parse_plans(spec)
     assert excinfo.value.token == bad_token
     assert excinfo.value.spec == spec
     assert isinstance(excinfo.value, ValueError)  # old except clauses hold
 
 
 def test_parse_fault_plans_multi():
-    plans = parse_fault_plans(
+    plans = parse_plans(
         "compact.write:1:torn, compact.rename:0:power-loss"
     )
     assert [p.spec for p in plans] \
         == ["compact.write:1:torn", "compact.rename:0:power-loss"]
     # Single-spec strings parse to a one-plan tuple.
-    assert parse_fault_plans("log.fsync:2:eio") \
-        == (FaultPlan.parse("log.fsync:2:eio"),)
+    assert parse_plans("log.fsync:2:eio") \
+        == (FaultPlan("log.fsync", 2, "eio"),)
+    # A daemon's --fault-plan takes storage faults only.
+    with pytest.raises(FaultSpecError) as excinfo:
+        parse_plans("log.fsync:2:eio,client.force.ack:0:exit",
+                    family="storage")
+    assert excinfo.value.token == "client.force.ack:0:exit"
 
 
 @pytest.mark.parametrize("spec,bad_token", [
@@ -69,7 +77,7 @@ def test_parse_fault_plans_multi():
 ])
 def test_parse_fault_plans_rejects_bad_strings(spec, bad_token):
     with pytest.raises(FaultSpecError) as excinfo:
-        parse_fault_plans(spec)
+        parse_plans(spec)
     assert excinfo.value.token == bad_token
 
 
@@ -99,7 +107,7 @@ def test_trace_is_deterministic(tmp_path):
 
 
 def test_power_loss_reverts_to_fsync_barrier(tmp_path):
-    inj = FaultInjector(FaultPlan.parse("log.fsync:2:power-loss"))
+    inj = FaultInjector(parse_plans("log.fsync:2:power-loss"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     store.append_record("c", rec(1), fsync=True)   # log.fsync:0
     store.append_record("c", rec(2), fsync=True)   # log.fsync:1
@@ -112,7 +120,7 @@ def test_power_loss_reverts_to_fsync_barrier(tmp_path):
 
 
 def test_short_write_keeps_torn_prefix(tmp_path):
-    inj = FaultInjector(FaultPlan.parse("log.write.record:1:short-write"))
+    inj = FaultInjector(parse_plans("log.write.record:1:short-write"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     store.append_record("c", rec(1), fsync=True)
     with pytest.raises(PowerLoss):
@@ -128,7 +136,7 @@ def test_short_write_keeps_torn_prefix(tmp_path):
 
 def test_torn_write_keeps_running(tmp_path):
     """``torn`` is the lying disk: a half write with no crash."""
-    inj = FaultInjector(FaultPlan.parse("log.write.record:1:torn"))
+    inj = FaultInjector(parse_plans("log.write.record:1:torn"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     store.append_record("c", rec(1), fsync=True)
     store.append_record("c", rec(2), fsync=True)   # torn, but "succeeds"
@@ -152,7 +160,7 @@ def test_torn_compact_write_plus_rename_power_loss(tmp_path):
     and a daemon restart replays the retained suffix and can finish
     the truncation cleanly.
     """
-    plans = parse_fault_plans(
+    plans = parse_plans(
         "compact.write:2:torn,compact.rename:0:power-loss"
     )
     inj = FaultInjector(plans)
@@ -176,7 +184,7 @@ def test_torn_compact_write_plus_rename_power_loss(tmp_path):
 
 
 def test_errno_action_is_transient_and_wedges_the_store(tmp_path):
-    inj = FaultInjector(FaultPlan.parse("log.write.record:1:enospc"))
+    inj = FaultInjector(parse_plans("log.write.record:1:enospc"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     store.append_record("c", rec(1), fsync=True)
     with pytest.raises(StorageError):
@@ -192,7 +200,7 @@ def test_errno_action_is_transient_and_wedges_the_store(tmp_path):
 
 
 def test_post_crash_io_raises_power_loss(tmp_path):
-    inj = FaultInjector(FaultPlan.parse("log.fsync:0:power-loss"))
+    inj = FaultInjector(parse_plans("log.fsync:0:power-loss"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     with pytest.raises(PowerLoss):
         store.append_record("c", rec(1), fsync=True)
@@ -211,7 +219,7 @@ def test_created_log_survives_power_loss_after_ack(tmp_path):
     rolled back pending directory ops — the whole log vanished, taking
     the already-*acknowledged* record 1 with it.
     """
-    inj = FaultInjector(FaultPlan.parse("log.fsync:1:power-loss"))
+    inj = FaultInjector(parse_plans("log.fsync:1:power-loss"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     store.append_record("c", rec(1), fsync=True)   # acked
     with pytest.raises(PowerLoss):
@@ -234,7 +242,7 @@ def test_stale_forest_detected_after_compaction_crash(tmp_path):
     stream it was built against, so the reopen discards and rebuilds
     instead of silently reading garbage offsets.
     """
-    inj = FaultInjector(FaultPlan.parse("forest.unlink:0:power-loss"))
+    inj = FaultInjector(parse_plans("forest.unlink:0:power-loss"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     store.append_records("c", tuple(rec(i) for i in range(1, 9)),
                          fsync=True)
@@ -261,7 +269,7 @@ def test_failed_compaction_reopen_keeps_store_usable(tmp_path):
     instead of the storage error.  The rescue path re-opens the
     installed stream so the daemon can keep serving reads.
     """
-    inj = FaultInjector(FaultPlan.parse("compact.reopen:0:eio"))
+    inj = FaultInjector(parse_plans("compact.reopen:0:eio"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     store.append_records("c", tuple(rec(i) for i in range(1, 9)),
                          fsync=True)

@@ -161,7 +161,7 @@ def test_failed_group_fsync_errors_every_parked_force(tmp_path):
     async def main():
         plan = FaultPlan(site="log.group-fsync", index=0, action="eio")
         store = FileLogStore(os.path.join(tmp_path, "s1"), "s1",
-                             io=FaultInjector(plan, mode="raise"))
+                             io=FaultInjector((plan,), mode="raise"))
         daemon = LogServerDaemon(store)
         writers = [FakeWriter() for _ in range(2)]
         for i, writer in enumerate(writers):

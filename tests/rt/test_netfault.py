@@ -30,13 +30,8 @@ from repro.net.messages import (
     NewHighLSNMsg,
     WriteLogMsg,
 )
-from repro.rt.chaosproxy import (
-    NET_ACTIONS,
-    ChaosProxy,
-    NetFaultPlan,
-    parse_net_plans,
-)
-from repro.rt.faultfs import FaultSpecError
+from repro.rt.chaosproxy import ChaosProxy
+from repro.rt.faultfs import NET_ACTIONS, FaultSpecError, parse_plans
 
 
 def _record(lsn: int, data: bytes = b"payload") -> StoredRecord:
@@ -105,9 +100,12 @@ def test_net_plan_parse_round_trips():
     for spec in ("net.writelog.c2s:0:drop",
                  "net.newhighlsn.s2c:3:partition-after",
                  "s2@net.forcelog.c2s:1:corrupt-payload"):
-        plan = NetFaultPlan.parse(spec)
+        (plan,) = parse_plans(spec)
         assert plan.spec == spec
+        assert plan.family == "net"
         assert plan.action in NET_ACTIONS
+    # The --point shorthand defaults a frame fault to drop.
+    assert parse_plans("net.ack.s2c:2", defaults=True)[0].action == "drop"
 
 
 @pytest.mark.parametrize("bad", [
@@ -121,16 +119,26 @@ def test_net_plan_parse_round_trips():
     "net.writelog.c2s:x:drop",               # non-integer index
 ])
 def test_net_plan_rejects_malformed(bad):
-    with pytest.raises(FaultSpecError):
-        NetFaultPlan.parse(bad)
+    bad_token = {
+        "net.nosuchkind.c2s:0:drop": "nosuchkind",
+        "net.writelog.sideways:0:drop": "sideways",
+        "net.writelog.c2s:-1:drop": "-1",
+        "net.writelog.c2s:0:explode": "explode",
+        "log.fsync:0:drop": "drop",
+        "net.writelog.c2s:x:drop": "x",
+    }.get(bad, bad)
+    with pytest.raises(FaultSpecError) as excinfo:
+        parse_plans(bad)
+    assert excinfo.value.token == bad_token
 
 
 def test_parse_net_plans_rejects_duplicates():
-    plans = parse_net_plans(
+    plans = parse_plans(
         "net.writelog.c2s:0:drop,s2@net.writelog.c2s:0:drop")
     assert len(plans) == 2  # same point, different servers: legal
-    with pytest.raises(FaultSpecError):
-        parse_net_plans("net.writelog.c2s:0:drop,net.writelog.c2s:0:delay")
+    with pytest.raises(FaultSpecError) as excinfo:
+        parse_plans("net.writelog.c2s:0:drop,net.writelog.c2s:0:delay")
+    assert excinfo.value.token == "net.writelog.c2s:0"
 
 
 # -- frame actions through a live proxy --------------------------------------
@@ -194,7 +202,7 @@ async def _run_through_proxy(plans, send_frames, *, read_timeout=0.5):
 def test_drop_swallows_only_the_armed_frame():
     async def main():
         got, proxy = await _run_through_proxy(
-            parse_net_plans("net.writelog.c2s:0:drop"), _frames())
+            parse_plans("net.writelog.c2s:0:drop"), _frames())
         assert got == ["intervallistcall", "forcelog", "newhighlsn"]
         assert proxy.frames_dropped == 1
         assert proxy.dropped_by_direction["c2s"] == 1
@@ -206,7 +214,7 @@ def test_drop_swallows_only_the_armed_frame():
 def test_duplicate_forwards_twice():
     async def main():
         got, proxy = await _run_through_proxy(
-            parse_net_plans("net.forcelog.c2s:0:duplicate"), _frames())
+            parse_plans("net.forcelog.c2s:0:duplicate"), _frames())
         assert got.count("forcelog") == 2
         assert proxy.frames_duplicated == 1
 
@@ -218,7 +226,7 @@ def test_corrupt_header_breaks_only_that_frame_boundary():
         # The echo upstream's scanner rejects the corrupted frame and
         # drops the connection — earlier frames made it through intact.
         got, proxy = await _run_through_proxy(
-            parse_net_plans("net.forcelog.c2s:0:corrupt-header"),
+            parse_plans("net.forcelog.c2s:0:corrupt-header"),
             _frames())
         assert "intervallistcall" in got and "writelog" in got
         assert "forcelog" not in got
@@ -230,7 +238,7 @@ def test_corrupt_header_breaks_only_that_frame_boundary():
 def test_truncate_mid_frame_kills_the_connection():
     async def main():
         got, proxy = await _run_through_proxy(
-            parse_net_plans("net.writelog.c2s:1:truncate-mid-frame"),
+            parse_plans("net.writelog.c2s:1:truncate-mid-frame"),
             _frames() + [frame(WriteLogMsg("c1", epoch=1,
                                            records=(_record(3),)))])
         assert proxy.frames_truncated == 1
@@ -243,7 +251,7 @@ def test_truncate_mid_frame_kills_the_connection():
 def test_partition_after_blocks_the_rest_of_the_direction():
     async def main():
         got, proxy = await _run_through_proxy(
-            parse_net_plans("net.intervallistcall.c2s:0:partition-after"),
+            parse_plans("net.intervallistcall.c2s:0:partition-after"),
             _frames())
         # The armed frame itself is forwarded; everything after it in
         # c2s is silently dropped.
@@ -256,7 +264,7 @@ def test_partition_after_blocks_the_rest_of_the_direction():
 def test_frame_indices_are_per_site():
     async def main():
         got, proxy = await _run_through_proxy(
-            parse_net_plans("net.writelog.c2s:1:drop"),
+            parse_plans("net.writelog.c2s:1:drop"),
             [frame(WriteLogMsg("c1", epoch=1, records=(_record(n),)))
              for n in range(1, 4)]
             + [frame(ForceLogMsg("c1", epoch=1,

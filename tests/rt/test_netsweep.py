@@ -13,34 +13,31 @@ import random
 import pytest
 
 from repro.harness.crashsweep import SweepConfig, run_crashsweep
-from repro.harness.netsweep import (
-    draw_fuzz_plan,
-    parse_composite_plan,
-)
-from repro.rt.faultfs import FaultSpecError
+from repro.harness.netsweep import draw_fuzz_plan, plan_spec
+from repro.rt.faultfs import FaultSpecError, parse_plans
 
 SITES = {"net.writelog.c2s": 3, "net.forcelog.c2s": 3,
          "net.newhighlsn.s2c": 3, "net.ack.s2c": 3,
          "net.copylog.c2s": 1}
 
 
-# -- composite plan grammar --------------------------------------------------
+# -- multi-family plans ------------------------------------------------------
 
 
 def test_composite_plan_routes_all_three_families():
-    plan = parse_composite_plan(
+    plans = parse_plans(
         "net.writelog.c2s:1:drop,"
         "s2@log.fsync:2:power-loss,"
         "log.write.record:0:eio,"
         "client.force.ack:0:raise")
-    assert [p.spec for p in plan.net] == ["net.writelog.c2s:1:drop"]
-    assert [(sid, p.spec) for sid, p in plan.storage] == [
-        ("s2", "log.fsync:2:power-loss"),
-        ("s1", "log.write.record:0:eio"),  # storage defaults to s1
+    assert [(p.family, p.server, p.point, p.action) for p in plans] == [
+        ("net", "", "net.writelog.c2s:1", "drop"),
+        ("storage", "s2", "log.fsync:2", "power-loss"),
+        ("storage", "", "log.write.record:0", "eio"),  # default server
+        ("client", "", "client.force.ack:0", "raise"),
     ]
-    assert [p.spec for p in plan.client] == ["client.force.ack:0:raise"]
-    # The spec property round-trips through the parser.
-    assert parse_composite_plan(plan.spec).spec == plan.spec
+    # The spec round-trips through the parser.
+    assert plan_spec(parse_plans(plan_spec(plans))) == plan_spec(plans)
 
 
 @pytest.mark.parametrize("bad", [
@@ -52,19 +49,29 @@ def test_composite_plan_routes_all_three_families():
     "net.writelog.c2s:0:power-loss",               # storage action on net
 ])
 def test_composite_plan_rejects_malformed(bad):
-    with pytest.raises(FaultSpecError):
-        parse_composite_plan(bad)
+    bad_token = {
+        "net.writelog.c2s:0:drop,": "",
+        "net.writelog.c2s:0:drop,net.writelog.c2s:0:delay":
+            "net.writelog.c2s:0",
+        "net.writelog.c2s:0:power-loss": "power-loss",
+    }.get(bad, bad)
+    with pytest.raises(FaultSpecError) as excinfo:
+        parse_plans(bad)
+    assert excinfo.value.token == bad_token
 
 
 def test_fuzz_plans_are_seed_deterministic():
     for seed in range(5):
         a = draw_fuzz_plan(random.Random(seed), SITES)
         b = draw_fuzz_plan(random.Random(seed), SITES)
-        assert a.spec == b.spec
-        total = len(a.net) + len(a.storage) + len(a.client)
-        assert 2 <= total <= 4
+        assert a == b
+        assert 2 <= len(a) <= 4
+        # Families come out net, storage, client, in that order.
+        order = ["net", "storage", "client"]
+        assert [order.index(p.family) for p in a] \
+            == sorted(order.index(p.family) for p in a)
         # Every drawn plan replays through the parser unchanged.
-        assert parse_composite_plan(a.spec).spec == a.spec
+        assert parse_plans(plan_spec(a)) == a
 
 
 # -- replay paths against real daemons ---------------------------------------
