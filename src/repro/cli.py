@@ -548,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve", help="run one real log-server daemon (asyncio, TCP)")
     p.add_argument("--data-dir", required=True,
-                   help="directory for the durable log and forest files")
+                   help="directory for the durable log file")
     p.add_argument("--server-id", required=True)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,

@@ -4,8 +4,8 @@ Where :mod:`repro.sim` *models* the distributed log (simulated clocks,
 LAN contention, failure injection), this package *runs* it:
 
 * :mod:`repro.rt.filestore` — durable file-backed log-server storage:
-  an fsync'd append stream replayed through the unchanged in-memory
-  store on recovery, plus a persisted append-forest index;
+  one fsync'd append stream replayed through the unchanged in-memory
+  store on recovery;
 * :mod:`repro.rt.server` — the asyncio log-server daemon speaking the
   Figure 4-1 message set in the binary encoding of
   :mod:`repro.net.codec`;
@@ -40,7 +40,7 @@ from .faultfs import (
     PowerLoss,
     parse_plans,
 )
-from .filestore import FileLogStore, FilePageStore
+from .filestore import FileLogStore
 from .loadgen import (
     LoadReport,
     MultiLoadReport,
@@ -69,7 +69,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FileLogStore",
-    "FilePageStore",
     "HashRing",
     "LoadReport",
     "LogServerDaemon",

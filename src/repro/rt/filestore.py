@@ -1,15 +1,15 @@
 """Durable file-backed log-server storage.
 
 One :class:`FileLogStore` is the durable state of one real log-server
-daemon: an fsync'd append stream of log entries (``log.dat``) plus a
-persisted append-forest index per client (``forest-<client>.idx``),
-both crash-recoverable by scan.
+daemon: a single fsync'd append stream of log entries (``log.dat``),
+crash-recoverable by scan.  It is the daemon's only durable file.
 
 The in-memory view replays through the existing
 :class:`~repro.core.store.LogServerStore`, so the Section 3.1.1
 semantics (write-order rules, duplicate tolerance, staged CopyLog /
 atomic InstallCopies, interval lists) are implemented exactly once; the
-file layer adds only durability.
+file layer adds only durability.  Every read is served from that
+replayed state; the stream is read only by recovery.
 
 Section 5.3 log space management: :meth:`FileLogStore.truncate_below`
 records a per-client truncation point, drops the reclaimed prefix from
@@ -48,20 +48,10 @@ entry ends the valid prefix and the file is truncated there.  A record
 is therefore durable exactly when the ``fsync`` that covered it
 returned — the contract the crash tests assert.
 
-Append-forest index
--------------------
-
-Steady-state appends (each client's strictly increasing LSN stream)
-are indexed in an append-forest (Section 4.3) whose nodes live in a
-:class:`FilePageStore` — a real-file append-only page store.  The
-forest maps LSN → byte offset of the record's entry in ``log.dat``,
-giving O(log n) point reads from durable state alone
-(:meth:`FileLogStore.read_via_index`).  The index is written buffered:
-if a crash loses its tail, recovery rebuilds the missing suffix from
-the (authoritative) log scan, so the forest never needs an fsync.
-Records re-written below the high-water mark by CopyLog/InstallCopies
-are not re-indexed — append forests require strictly increasing keys —
-and are served from the replayed in-memory state instead.
+The Section 4.3 append-forest is not kept here: nothing on the daemon
+reads records from disk outside recovery, so an on-disk index would
+have no reader.  The paper's index is reproduced where the simulated
+server reads through it (:mod:`repro.server.index`).
 """
 
 from __future__ import annotations
@@ -81,7 +71,6 @@ from ..net.codec import (
     decode_stored_record,
     encode_stored_record,
 )
-from ..storage.append_forest import AppendForest, ForestNode
 from .faultfs import PassthroughIO
 
 ENTRY_MAGIC = 0x4C45
@@ -100,13 +89,11 @@ E_GENERATOR = 4
 #: of the rewritten stream so a replay after restart re-arms the
 #: late-retransmission guard.
 E_TRUNCATE = 5
-#: Stream metadata: the log generation (``!QI`` value + CRC, like
-#: ``E_GENERATOR``).  Each compaction starts its rewritten stream with
-#: the incremented generation; forest index files record the generation
-#: they were built against, so a crash anywhere between the compaction
-#: rename and the index rebuild leaves forests that are *detectably*
-#: stale (discarded and rebuilt from the log scan) instead of silently
-#: mapping LSNs to byte offsets in a different stream.
+#: Legacy stream metadata (``!QI`` value + CRC, like ``E_GENERATOR``).
+#: Compactions by older versions began the rewritten stream with one,
+#: tying since-removed per-client index files to the stream.  Nothing
+#: writes it any more; replay parses it and ignores it, so such a log
+#: still reopens whole instead of being truncated at offset 0.
 E_META = 6
 #: Ownership fence: the entry's client stream refuses any
 #: WriteLog/ForceLog/TruncateLog below the stored epoch (``!II`` epoch
@@ -122,146 +109,12 @@ _ETYPE_SITES = {
     E_INSTALL: "log.write.install",
     E_GENERATOR: "log.write.generator",
     E_TRUNCATE: "log.write.truncate",
-    E_META: "log.write.meta",
     E_FENCE: "log.write.fence",
 }
-
-PAGE_MAGIC = 0x4C46
-_PAGE = struct.Struct("!HHI")  # magic, payload length, CRC-32(payload)
-_NODE = struct.Struct("!IIqqqIHH")  # lo, hi, left, right, forest, min, h, n
-
-FOREST_MAGIC = 0x4C47
-_FOREST_HDR = struct.Struct("!HQI")  # magic, generation, CRC-32(!Q gen)
 
 
 class FileStoreError(Exception):
     """A malformed durable file that is not a recoverable torn tail."""
-
-
-def _pack_addr(address: int | None) -> int:
-    return -1 if address is None else address
-
-
-def _unpack_addr(value: int) -> int | None:
-    return None if value < 0 else value
-
-
-class FilePageStore:
-    """An append-only page store over a real file (forest index pages).
-
-    Satisfies the store interface :class:`AppendForest` needs —
-    ``append`` / ``read`` / ``len`` — with :class:`ForestNode` payloads
-    serialized one per page.  Pages are cached in memory after the
-    opening scan; the file is the durable copy.  A torn final page is
-    dropped at open, matching the append-forest durability contract
-    ("a torn final page simply yields the forest as of the previous
-    append").
-
-    The file starts with a header recording the **log generation** the
-    index was built against (see ``E_META``).  A file whose header is
-    missing, torn, or from a different generation is discarded whole —
-    its byte offsets describe a stream that no longer exists — and the
-    owner rebuilds it from the log scan.
-    """
-
-    def __init__(self, path: Path, io: PassthroughIO | None = None, *,
-                 generation: int = 0):
-        self.path = Path(path)
-        self.io = io if io is not None else PassthroughIO()
-        self.generation = generation
-        self._pages: list[ForestNode] = []
-        self.appends = 0
-        self.reads = 0
-        valid = 0
-        if self.path.exists():
-            raw = self.path.read_bytes()
-            offset = None
-            if len(raw) >= _FOREST_HDR.size:
-                magic, gen, crc = _FOREST_HDR.unpack_from(raw, 0)
-                if magic == FOREST_MAGIC and gen == generation \
-                        and zlib.crc32(raw[2:2 + 8]) == crc:
-                    offset = _FOREST_HDR.size
-            if offset is None:
-                # Stale generation, torn header, or a pre-generation
-                # legacy file: the offsets inside are not trustworthy.
-                with open(self.path, "r+b") as fh:
-                    fh.truncate(0)
-            else:
-                valid = offset
-                while offset + _PAGE.size <= len(raw):
-                    magic, plen, crc = _PAGE.unpack_from(raw, offset)
-                    body = raw[offset + _PAGE.size:offset + _PAGE.size + plen]
-                    if magic != PAGE_MAGIC or len(body) != plen \
-                            or zlib.crc32(body) != crc:
-                        break
-                    self._pages.append(self._decode_node(body))
-                    offset += _PAGE.size + plen
-                    valid = offset
-                if valid < len(raw):
-                    with open(self.path, "r+b") as fh:
-                        fh.truncate(valid)
-        self._file = self.io.open(self.path, "ab", "forest.open")
-        if valid == 0:
-            gen_bytes = struct.pack("!Q", generation)
-            self.io.write(
-                self._file,
-                _FOREST_HDR.pack(FOREST_MAGIC, generation,
-                                 zlib.crc32(gen_bytes)),
-                "forest.write",
-            )
-
-    @staticmethod
-    def _encode_node(node: ForestNode) -> bytes:
-        head = _NODE.pack(
-            node.lo, node.hi, _pack_addr(node.left), _pack_addr(node.right),
-            _pack_addr(node.forest), node.tree_min, node.height,
-            len(node.entries),
-        )
-        return head + struct.pack(f"!{len(node.entries)}Q", *node.entries)
-
-    @staticmethod
-    def _decode_node(body: bytes) -> ForestNode:
-        lo, hi, left, right, forest, tree_min, height, n = \
-            _NODE.unpack_from(body, 0)
-        entries = struct.unpack_from(f"!{n}Q", body, _NODE.size)
-        return ForestNode(
-            lo=lo, hi=hi, entries=entries, left=_unpack_addr(left),
-            right=_unpack_addr(right), forest=_unpack_addr(forest),
-            tree_min=tree_min, height=height,
-        )
-
-    def append(self, payload: ForestNode) -> int:
-        body = self._encode_node(payload)
-        page = _PAGE.pack(PAGE_MAGIC, len(body), zlib.crc32(body)) + body
-        self.io.write(self._file, page, "forest.write")
-        self._pages.append(payload)
-        self.appends += 1
-        return len(self._pages) - 1
-
-    def read(self, address: int) -> ForestNode:
-        self.reads += 1
-        return self._pages[address]
-
-    def __len__(self) -> int:
-        return len(self._pages)
-
-    @property
-    def next_address(self) -> int:
-        return len(self._pages)
-
-    def flush(self) -> None:
-        if not self._file.closed:
-            self._file.flush()
-
-    def close(self) -> None:
-        if not self._file.closed:
-            self._file.flush()
-            self._file.close()
-
-
-def _client_file_tag(client_id: str) -> str:
-    """A filesystem-safe tag for per-client index files."""
-    return client_id.encode("utf-8").hex()
 
 
 class FileLogStore:
@@ -296,7 +149,6 @@ class FileLogStore:
         #: clients' declared low-water marks without waiting for the
         #: next TruncateLog.  ``None`` disables the fallback.
         self.compact_watermark_bytes = compact_watermark_bytes
-        self._forests: dict[str, AppendForest] = {}
         self._log_path = self.data_dir / "log.dat"
         self.recovered_entries = 0
         self.truncated_bytes = 0
@@ -314,9 +166,6 @@ class FileLogStore:
         #: complete-but-corrupt entries rejected by CRC during recovery
         #: (torn tails are not corruption and are counted separately).
         self.crc_rejections = 0
-        #: bumped by every compaction; ties forest index files to the
-        #: log stream they index (see ``E_META``).
-        self.log_generation = 0
         #: first storage failure observed; non-None wedges all appends
         #: (the daemon degrades to read-only rather than lying about
         #: durability).
@@ -338,7 +187,6 @@ class FileLogStore:
         raw = self._log_path.read_bytes() if self._log_path.exists() else b""
         offset = 0
         valid = 0
-        steady: dict[str, list[tuple[LSN, int]]] = {}
         while offset < len(raw):
             parsed = self._parse_entry(raw, offset)
             if parsed is None:
@@ -347,9 +195,6 @@ class FileLogStore:
             try:
                 if etype == E_RECORD:
                     self.mem.server_write_record(client_id, payload)
-                    steady.setdefault(client_id, []).append(
-                        (payload.lsn, offset)
-                    )
                 elif etype == E_STAGED:
                     self.mem.copy_log(client_id, payload.lsn, payload.epoch,
                                       payload.present, payload.data,
@@ -358,12 +203,8 @@ class FileLogStore:
                     self.mem.install_copies(client_id, payload)
                 elif etype == E_TRUNCATE:
                     self.mem.truncate_below(client_id, payload)
-                    pairs = steady.get(client_id)
-                    if pairs:
-                        steady[client_id] = [(lsn, off) for lsn, off in pairs
-                                             if lsn >= payload]
                 elif etype == E_META:
-                    self.log_generation = max(self.log_generation, payload)
+                    pass  # legacy: see E_META
                 elif etype == E_FENCE:
                     self.fence_epochs[client_id] = max(
                         self.fence_epochs.get(client_id, 0), payload
@@ -388,15 +229,6 @@ class FileLogStore:
             self.truncated_bytes = len(raw) - valid
             with open(self._log_path, "r+b") as fh:
                 fh.truncate(valid)
-        # Rebuild each client's forest from its index file, then index
-        # whatever steady-state suffix the buffered index file lost.
-        for client_id, pairs in steady.items():
-            forest = self._forest(client_id)
-            high = forest.high_key or 0
-            for lsn, entry_offset in pairs:
-                if lsn > high:
-                    forest.append_key(lsn, entry_offset)
-                    high = lsn
         return valid
 
     def _parse_entry(
@@ -466,12 +298,11 @@ class FileLogStore:
             )
 
     def _append_entry(self, etype: int, client_id: str, payload: bytes,
-                      fsync: bool) -> int:
+                      fsync: bool) -> None:
         cid_raw = client_id.encode("utf-8")
         if len(cid_raw) > 16:
             raise FileStoreError(f"client id {client_id!r} exceeds 16 bytes")
         self._check_writable()
-        offset = self._size
         buf = _ENTRY.pack(ENTRY_MAGIC, etype, cid_raw) + payload
         try:
             self.io.write(self._file, buf, _ETYPE_SITES[etype])
@@ -482,60 +313,35 @@ class FileLogStore:
             raise self._wedge(exc) from exc
         self._size += len(buf)
         self.bytes_appended += len(buf)
-        return offset
-
-    def append_record(self, client_id: str, record: StoredRecord, *,
-                      fsync: bool) -> None:
-        """ServerWriteLog, durably.
-
-        Duplicate retransmissions (already stored, identical) are
-        dropped without touching the file; conflicting rewrites raise
-        :class:`~repro.core.errors.ProtocolError` before any bytes are
-        written.
-        """
-        self.records_appended += 1
-        # Validate through the in-memory store first so a protocol
-        # violation leaves the durable stream untouched; ``False``
-        # means a duplicate retransmission, dropped without a write.
-        if not self.mem.server_write_record(client_id, record):
-            return
-        offset = self._append_entry(
-            E_RECORD, client_id, encode_stored_record(record), fsync
-        )
-        forest = self._forest(client_id)
-        if record.lsn > (forest.high_key or 0):
-            try:
-                forest.append_key(record.lsn, offset)
-            except OSError as exc:
-                # The index is advisory (rebuilt from the log on
-                # recovery), but a failing disk should wedge appends
-                # all the same.
-                raise self._wedge(exc) from exc
 
     def append_records(self, client_id: str,
                        records: tuple[StoredRecord, ...], *,
                        fsync: bool,
                        images: "Sequence[bytes] | None" = None) -> None:
-        """Append a batch; one :meth:`sync` covers the whole batch.
+        """ServerWriteLog, durably: append a batch of one client's records.
 
         The whole batch becomes **one** buffered write (crash point
-        ``log.write.record``, same as before — a torn multi-entry write
-        truncates to the last complete entry on recovery, and none of
-        the batch was acknowledged).  ``images`` optionally carries the
-        raw wire image per record (from :func:`repro.net.codec.decode`)
-        so the hot path never re-encodes; each image is byte-compatible
-        with ``encode_stored_record``.
+        ``log.write.record`` — a torn multi-entry write truncates to
+        the last complete entry on recovery, and none of the batch was
+        acknowledged); with ``fsync`` one :meth:`sync` then covers it.
+        ``images`` optionally carries the raw wire image per record
+        (from :func:`repro.net.codec.decode`) so the hot path never
+        re-encodes; each image is byte-compatible with
+        ``encode_stored_record``.
 
-        The sync is unconditional even when every record was a
-        duplicate retransmission: the originals may have arrived in
-        unsynced WriteLogs, and the ForceLog ack promises durability.
+        Duplicate retransmissions (already stored, identical) are
+        dropped without touching the file; a conflicting rewrite raises
+        :class:`~repro.core.errors.ProtocolError` after the records
+        validated before it are written.  The sync is unconditional
+        even when every record was a duplicate: the originals may have
+        arrived in unsynced WriteLogs, and the ForceLog ack promises
+        durability.
         """
         cid_raw = client_id.encode("utf-8")
         if len(cid_raw) > 16:
             raise FileStoreError(f"client id {client_id!r} exceeds 16 bytes")
         header = _ENTRY.pack(ENTRY_MAGIC, E_RECORD, cid_raw)
         buf = bytearray()
-        pending: list[tuple[LSN, int]] = []  # (lsn, entry offset)
         try:
             for i, record in enumerate(records):
                 self.records_appended += 1
@@ -548,7 +354,6 @@ class FileLogStore:
                     continue
                 image = (images[i] if images is not None
                          else encode_stored_record(record))
-                pending.append((record.lsn, self._size + len(buf)))
                 buf += header
                 buf += image
         finally:
@@ -556,39 +361,16 @@ class FileLogStore:
             # error: the in-memory store already holds those records,
             # and mem must never run ahead of the durable stream.
             if buf:
-                self._flush_record_batch(bytes(buf), client_id, pending)
+                self._check_writable()
+                try:
+                    self.io.write(self._file, bytes(buf), "log.write.record")
+                except OSError as exc:
+                    raise self._wedge(exc) from exc
+                self._size += len(buf)
+                self.bytes_appended += len(buf)
         if fsync:
             self.sync()
         self._maybe_compact()
-
-    def _flush_record_batch(self, buf: bytes, client_id: str,
-                            pending: list[tuple[LSN, int]]) -> None:
-        """One buffered write + one forest node for a validated batch."""
-        self._check_writable()
-        try:
-            self.io.write(self._file, buf, "log.write.record")
-        except OSError as exc:
-            raise self._wedge(exc) from exc
-        self._size += len(buf)
-        self.bytes_appended += len(buf)
-        forest = self._forest(client_id)
-        high = forest.high_key or 0
-        fresh = [(lsn, off) for lsn, off in pending if lsn > high]
-        if not fresh:
-            return
-        try:
-            lo, hi = fresh[0][0], fresh[-1][0]
-            if hi - lo + 1 == len(fresh):
-                # Consecutive batch LSNs: one multi-key node indexes
-                # the whole group instead of one node per record.
-                forest.append(lo, hi, tuple(off for _, off in fresh))
-            else:
-                for lsn, off in fresh:
-                    forest.append_key(lsn, off)
-        except OSError as exc:
-            # The index is advisory (rebuilt from the log on recovery),
-            # but a failing disk should wedge appends all the same.
-            raise self._wedge(exc) from exc
 
     def sync(self, *, site: str = "log.fsync") -> None:
         """Make everything appended so far durable (flush + fsync).
@@ -720,32 +502,21 @@ class FileLogStore:
         reconstructs the exact same in-memory state.
 
         The rewrite goes to ``log.dat.tmp`` (fsync'd), then atomically
-        replaces ``log.dat``; the append-forest index files are rebuilt
-        against the new byte offsets.  The rewritten stream opens with
-        an ``E_META`` entry carrying the incremented log generation, so
-        index files built against the old stream can never be mistaken
-        for current (see :class:`FilePageStore`).
+        replaces ``log.dat`` (rename + directory fsync).
         """
         self._check_writable()
         tmp_path = Path(str(self._log_path) + ".tmp")
-        steady: dict[str, list[tuple[LSN, int]]] = {}
         size = 0
-        generation = self.log_generation + 1
         try:
             out = self.io.open(tmp_path, "wb", "compact.open")
             try:
-                def emit(etype: int, cid: str, payload: bytes) -> int:
+                def emit(etype: int, cid: str, payload: bytes) -> None:
                     nonlocal size
-                    offset = size
                     buf = _ENTRY.pack(ENTRY_MAGIC, etype,
                                       cid.encode("utf-8")) + payload
                     self.io.write(out, buf, "compact.write")
                     size += len(buf)
-                    return offset
 
-                gen_bytes = struct.pack("!Q", generation)
-                emit(E_META, "",
-                     _GENERATOR.pack(generation, zlib.crc32(gen_bytes)))
                 for cid in sorted(self.fence_epochs):
                     fence = self.fence_epochs[cid]
                     fence_bytes = struct.pack("!I", fence)
@@ -759,11 +530,8 @@ class FileLogStore:
                         emit(E_TRUNCATE, client_id,
                              _TRUNCATE.pack(mark, zlib.crc32(mark_bytes)))
                     for record in state.records:
-                        offset = emit(E_RECORD, client_id,
-                                      encode_stored_record(record))
-                        steady.setdefault(client_id, []).append(
-                            (record.lsn, offset)
-                        )
+                        emit(E_RECORD, client_id,
+                             encode_stored_record(record))
                     for epoch in sorted(state.staged):
                         for record in state.staged[epoch]:
                             emit(E_STAGED, client_id,
@@ -792,34 +560,10 @@ class FileLogStore:
                 except OSError:
                     pass
             raise self._wedge(exc) from exc
-        self.log_generation = generation
         self._size = size
         self._last_compact_size = size
         self.compactions += 1
         self.reclaimed_bytes += max(0, old_size - size)
-        self._rebuild_forests(steady)
-
-    def _rebuild_forests(
-        self, steady: dict[str, list[tuple[LSN, int]]]
-    ) -> None:
-        """Recreate every forest index against post-compaction offsets."""
-        for forest in self._forests.values():
-            forest.store.close()
-        self._forests = {}
-        try:
-            for path in self.data_dir.glob("forest-*.idx"):
-                self.io.unlink(path, "forest.unlink")
-            for client_id, pairs in steady.items():
-                forest = self._forest(client_id)
-                high = 0
-                for lsn, offset in pairs:
-                    if lsn > high:
-                        forest.append_key(lsn, offset)
-                        high = lsn
-        except OSError as exc:
-            # The index is advisory (rebuilt from the log scan on
-            # recovery), but a failing disk wedges appends all the same.
-            raise self._wedge(exc) from exc
 
     # -- reads --------------------------------------------------------
 
@@ -845,55 +589,6 @@ class FileLogStore:
         """Records held in the replayed in-memory store (RSS proxy)."""
         return self.mem.record_count()
 
-    def read_via_index(self, client_id: str, lsn: LSN) -> StoredRecord | None:
-        """Point read through the durable path alone: forest → file.
-
-        Returns ``None`` when the LSN is not in the forest (never
-        appended, or re-written below the high-water mark and so served
-        from replayed state instead).
-
-        A rewrite is detected by epoch: InstallCopies replaces a record
-        *in place* in the replayed state, but the forest — append-only,
-        strictly increasing keys — still maps the LSN to the original
-        append.  Found by ``repro crashsweep`` (crash point
-        ``log.write.record:25``, any later restart): the index served
-        the superseded pre-install record.  The next compaction
-        re-indexes the winning copy and the entry becomes valid again.
-        """
-        forest = self._forests.get(client_id)
-        if forest is None:
-            return None
-        try:
-            offset = forest.search(lsn)
-        except KeyError:
-            return None
-        if not self._file.closed:
-            self._file.flush()
-        with open(self._log_path, "rb") as fh:
-            fh.seek(offset + _ENTRY.size)
-            header = fh.read(RECORD_HEADER_BYTES)
-            (dlen,) = struct.unpack_from("!H", header, 10)
-            record, _ = decode_stored_record(header + fh.read(dlen), 0)
-        current = self.mem.client_state(client_id).lookup(lsn)
-        if current is not None and current.epoch != record.epoch:
-            return None  # stale index entry: the record was re-written
-        return record
-
-    def forest(self, client_id: str) -> AppendForest | None:
-        """The client's index forest (for tests and diagnostics)."""
-        return self._forests.get(client_id)
-
-    def _forest(self, client_id: str) -> AppendForest:
-        forest = self._forests.get(client_id)
-        if forest is None:
-            path = self.data_dir / f"forest-{_client_file_tag(client_id)}.idx"
-            forest = AppendForest(FilePageStore(
-                path, self.io, generation=self.log_generation
-            ))
-            forest.rebuild_from_store()
-            self._forests[client_id] = forest
-        return forest
-
     # -- lifecycle ----------------------------------------------------
 
     @property
@@ -904,12 +599,8 @@ class FileLogStore:
     def flush(self) -> None:
         if not self._file.closed:
             self._file.flush()
-        for forest in self._forests.values():
-            forest.store.flush()
 
     def close(self) -> None:
         if not self._file.closed:
             self._file.flush()
             self._file.close()
-        for forest in self._forests.values():
-            forest.store.close()

@@ -1,10 +1,15 @@
-"""The crash-point sweep harness (in-process phases only — the daemon
-phase spawns real subprocesses and runs in CI as ``repro crashsweep
---quick``)."""
+"""The crash-point sweep harness (in-process phases, plus the daemon
+phase's combined cases; the full daemon phase spawns real subprocesses
+and runs in CI as ``repro crashsweep --quick``)."""
 
 from __future__ import annotations
 
-from repro.harness.crashsweep import SweepConfig, run_crashsweep
+from repro.harness.crashsweep import (
+    _DAEMON_COMBINED_PLANS,
+    SweepConfig,
+    _daemon_case,
+    run_crashsweep,
+)
 
 
 def test_quick_sweep_passes_all_invariants(tmp_path):
@@ -14,9 +19,10 @@ def test_quick_sweep_passes_all_invariants(tmp_path):
     # The acceptance floor: the workload must expose a rich crash
     # surface, not a token handful of points.
     assert report.points_enumerated >= 30
-    assert {"log.write.record", "log.fsync", "compact.rename",
-            "compact.dirsync", "forest.write", "log.write.install",
-            "log.write.truncate", "dir.create-sync"} <= set(report.sites)
+    assert {"log.write.record", "log.fsync", "log.group-fsync",
+            "compact.write", "compact.rename", "compact.dirsync",
+            "log.write.install", "log.write.truncate",
+            "dir.create-sync"} <= set(report.sites)
     assert report.cases_run > 0
     assert report.failures == [], [c.as_dict() for c in report.failures]
 
@@ -71,3 +77,13 @@ def test_replay_reports_whether_the_point_fired(tmp_path):
         assert case.ok, case.errors
         assert any("point not reached" in line for line in lines) \
             is not hit
+
+
+def test_combined_daemon_cases_reach_their_points(tmp_path):
+    """Both multi-fault plans fire in the compaction under the
+    workload's final truncate, so the client can return while the
+    armed daemon is still exiting.  Reachability comes from the
+    daemon's exit, not from whether it is alive at that moment."""
+    for i, plan in enumerate(_DAEMON_COMBINED_PLANS):
+        case = _daemon_case(tmp_path, i, plan, action="combined", plan=plan)
+        assert case.hit and case.ok, case.as_dict()

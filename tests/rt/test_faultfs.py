@@ -109,10 +109,10 @@ def test_trace_is_deterministic(tmp_path):
 def test_power_loss_reverts_to_fsync_barrier(tmp_path):
     inj = FaultInjector(parse_plans("log.fsync:2:power-loss"))
     store = FileLogStore(tmp_path, "s1", io=inj)
-    store.append_record("c", rec(1), fsync=True)   # log.fsync:0
-    store.append_record("c", rec(2), fsync=True)   # log.fsync:1
+    store.append_records("c", (rec(1),), fsync=True)   # log.fsync:0
+    store.append_records("c", (rec(2),), fsync=True)   # log.fsync:1
     with pytest.raises(PowerLoss):
-        store.append_record("c", rec(3), fsync=True)  # crash before fsync:2
+        store.append_records("c", (rec(3),), fsync=True)  # dies at fsync:2
     inj.close_all()
     again = FileLogStore(tmp_path, "s1")
     assert again.stored_lsns("c") == [1, 2]  # unsynced r3 gone
@@ -122,9 +122,9 @@ def test_power_loss_reverts_to_fsync_barrier(tmp_path):
 def test_short_write_keeps_torn_prefix(tmp_path):
     inj = FaultInjector(parse_plans("log.write.record:1:short-write"))
     store = FileLogStore(tmp_path, "s1", io=inj)
-    store.append_record("c", rec(1), fsync=True)
+    store.append_records("c", (rec(1),), fsync=True)
     with pytest.raises(PowerLoss):
-        store.append_record("c", rec(2), fsync=True)
+        store.append_records("c", (rec(2),), fsync=True)
     inj.close_all()
     again = FileLogStore(tmp_path, "s1")
     # The torn half-entry is recovery's problem: prefix survives,
@@ -138,9 +138,9 @@ def test_torn_write_keeps_running(tmp_path):
     """``torn`` is the lying disk: a half write with no crash."""
     inj = FaultInjector(parse_plans("log.write.record:1:torn"))
     store = FileLogStore(tmp_path, "s1", io=inj)
-    store.append_record("c", rec(1), fsync=True)
-    store.append_record("c", rec(2), fsync=True)   # torn, but "succeeds"
-    store.append_record("c", rec(3), fsync=True)
+    store.append_records("c", (rec(1),), fsync=True)
+    store.append_records("c", (rec(2),), fsync=True)   # torn, but "succeeds"
+    store.append_records("c", (rec(3),), fsync=True)
     assert inj.faults_injected == 1
     assert inj.tripped is None
     store.close()
@@ -152,7 +152,7 @@ def test_torn_write_keeps_running(tmp_path):
 
 
 def test_torn_compact_write_plus_rename_power_loss(tmp_path):
-    """Combined plan ``compact.write:2:torn,compact.rename:0:power-loss``.
+    """Combined plan ``compact.write:1:torn,compact.rename:0:power-loss``.
 
     The compaction writes a torn record into ``log.dat.tmp`` and the
     machine dies just before the rename installs it.  The old stream
@@ -161,7 +161,7 @@ def test_torn_compact_write_plus_rename_power_loss(tmp_path):
     the truncation cleanly.
     """
     plans = parse_plans(
-        "compact.write:2:torn,compact.rename:0:power-loss"
+        "compact.write:1:torn,compact.rename:0:power-loss"
     )
     inj = FaultInjector(plans)
     store = FileLogStore(tmp_path, "s1", io=inj)
@@ -186,13 +186,13 @@ def test_torn_compact_write_plus_rename_power_loss(tmp_path):
 def test_errno_action_is_transient_and_wedges_the_store(tmp_path):
     inj = FaultInjector(parse_plans("log.write.record:1:enospc"))
     store = FileLogStore(tmp_path, "s1", io=inj)
-    store.append_record("c", rec(1), fsync=True)
+    store.append_records("c", (rec(1),), fsync=True)
     with pytest.raises(StorageError):
-        store.append_record("c", rec(2), fsync=True)
+        store.append_records("c", (rec(2),), fsync=True)
     # Wedged for writes, alive for reads (daemon degrades to read-only).
     assert store.read_record("c", 1).data == b"r1"
     with pytest.raises(StorageError):
-        store.append_record("c", rec(3), fsync=True)
+        store.append_records("c", (rec(3),), fsync=True)
     assert inj.faults_injected == 1
     assert inj.tripped is None  # errno faults do not kill the "machine"
     store.close()
@@ -203,7 +203,7 @@ def test_post_crash_io_raises_power_loss(tmp_path):
     inj = FaultInjector(parse_plans("log.fsync:0:power-loss"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     with pytest.raises(PowerLoss):
-        store.append_record("c", rec(1), fsync=True)
+        store.append_records("c", (rec(1),), fsync=True)
     with pytest.raises(PowerLoss):  # the disk is dead; no finalizer writes
         inj.fsync_dir(tmp_path, "dir.create-sync")
 
@@ -221,9 +221,9 @@ def test_created_log_survives_power_loss_after_ack(tmp_path):
     """
     inj = FaultInjector(parse_plans("log.fsync:1:power-loss"))
     store = FileLogStore(tmp_path, "s1", io=inj)
-    store.append_record("c", rec(1), fsync=True)   # acked
+    store.append_records("c", (rec(1),), fsync=True)   # acked
     with pytest.raises(PowerLoss):
-        store.append_record("c", rec(2), fsync=True)
+        store.append_records("c", (rec(2),), fsync=True)
     inj.close_all()
     assert (tmp_path / "log.dat").exists()
     again = FileLogStore(tmp_path, "s1")
@@ -233,30 +233,25 @@ def test_created_log_survives_power_loss_after_ack(tmp_path):
 
 
 def test_stale_forest_detected_after_compaction_crash(tmp_path):
-    """Crash point ``forest.unlink:0:power-loss`` (Bug B).
+    """Crash point ``compact.dirsync:0:power-loss`` (Bug B's point).
 
-    The crash lands after the compacted stream is durably installed
-    (rename + dir fsync) but before the forest index files are
-    rebuilt: every forest on disk maps LSNs to byte offsets in the
-    *old* stream.  The generation header ties an index file to the
-    stream it was built against, so the reopen discards and rebuilds
-    instead of silently reading garbage offsets.
+    Bug B was a stale on-disk index after this crash: the compacted
+    stream was renamed in, but index files built against the old
+    stream survived.  ``log.dat`` is now the only durable file, so
+    what remains to pin is the stream itself: whether or not the
+    uncommitted rename survives, the retained records read back.
     """
-    inj = FaultInjector(parse_plans("forest.unlink:0:power-loss"))
+    inj = FaultInjector(parse_plans("compact.dirsync:0:power-loss"))
     store = FileLogStore(tmp_path, "s1", io=inj)
     store.append_records("c", tuple(rec(i) for i in range(1, 9)),
                          fsync=True)
-    store.flush()  # persist the (soon stale) forest pages
     with pytest.raises(PowerLoss):
-        store.truncate_below("c", 5)  # compacts, crashes at the rebuild
+        store.truncate_below("c", 5)  # compacts, crashes before dirsync
+    assert inj.faults_injected == 1
     inj.close_all()
     again = FileLogStore(tmp_path, "s1")
-    assert again.log_generation == 1
     for lsn in (5, 6, 7, 8):
         assert again.read_record("c", lsn).data == f"r{lsn}".encode()
-        via = again.read_via_index("c", lsn)
-        if via is not None:
-            assert via.data == f"r{lsn}".encode()
     again.close()
 
 
@@ -278,13 +273,13 @@ def test_failed_compaction_reopen_keeps_store_usable(tmp_path):
     # Wedged for writes, but reads must keep working.
     assert store.read_record("c", 6).data == b"r6"
     with pytest.raises(StorageError):
-        store.append_record("c", rec(9), fsync=True)
+        store.append_records("c", (rec(9),), fsync=True)
     store.close()
     inj.close_all()
 
 
 def test_record_header_corruption_is_crc_detected(tmp_path):
-    """Crash point ``compact.write:3:bit-flip``.
+    """Crash point ``compact.write:2:bit-flip``.
 
     The record CRC originally covered only the data bytes; a flipped
     bit in the header's epoch field decoded cleanly and replayed as a
@@ -300,9 +295,9 @@ def test_record_header_corruption_is_crc_detected(tmp_path):
     # End to end: flip the same header byte inside log.dat; recovery
     # must reject the entry (counted) and keep the valid prefix.
     store = FileLogStore(tmp_path, "s1")
-    store.append_record("c", rec(1), fsync=True)
+    store.append_records("c", (rec(1),), fsync=True)
     offset_2 = store.log_size_bytes
-    store.append_record("c", rec(2), fsync=True)
+    store.append_records("c", (rec(2),), fsync=True)
     store.close()
     log = tmp_path / "log.dat"
     raw = bytearray(log.read_bytes())
@@ -317,11 +312,11 @@ def test_record_header_corruption_is_crc_detected(tmp_path):
 def test_read_via_index_refuses_stale_entry_after_install(tmp_path):
     """Crash point ``log.write.record:25`` (any restart after install).
 
-    InstallCopies replaces a record in place in the replayed state,
-    but the append-only forest still maps the LSN to the original
-    append — ``read_via_index`` served the superseded pre-install
-    record.  A forest hit whose epoch disagrees with the replayed
-    state is stale and must not be returned.
+    InstallCopies replaces a record in place; an on-disk index that
+    still mapped the LSN to the original append once served the
+    superseded pre-install record.  The index is gone, and reads come
+    from the replayed state: the installed copy wins and the untouched
+    record keeps its epoch, before and after recovery.
     """
     store = FileLogStore(tmp_path, "s1")
     store.append_records("c", (rec(1), rec(2)), fsync=True)
@@ -332,10 +327,8 @@ def test_read_via_index_refuses_stale_entry_after_install(tmp_path):
             store.close()
             s = FileLogStore(tmp_path, "s1")  # and again after recovery
         assert s.read_record("c", 1).epoch == 2
-        via = s.read_via_index("c", 1)
-        assert via is None or via.epoch == 2
-        via2 = s.read_via_index("c", 2)
-        assert via2 is not None and via2.epoch == 1  # untouched entry
+        assert s.read_record("c", 1).data == b"rewritten"
+        assert s.read_record("c", 2).epoch == 1  # untouched entry
     s.close()
 
 

@@ -1,15 +1,16 @@
-"""Durable-store tests: reopen, torn tails, the persisted forest index."""
+"""Durable-store tests: reopen, torn tails, fences, older log formats."""
 
 from __future__ import annotations
 
 import struct
+import zlib
 
 import pytest
 
 from repro.core.errors import ProtocolError
 from repro.core.records import StoredRecord
-from repro.rt.filestore import ENTRY_MAGIC, FileLogStore, FilePageStore
-from repro.storage.append_forest import AppendForest
+from repro.net.codec import encode_stored_record
+from repro.rt.filestore import ENTRY_MAGIC, FileLogStore
 
 
 def rec(lsn, epoch=1, data=None, present=True, kind="data"):
@@ -22,7 +23,7 @@ def rec(lsn, epoch=1, data=None, present=True, kind="data"):
 def test_reopen_recovers_records(tmp_path):
     store = FileLogStore(tmp_path, "s1")
     for i in range(1, 11):
-        store.append_record("c", rec(i), fsync=False)
+        store.append_records("c", (rec(i),), fsync=False)
     store.sync()
     store.close()
 
@@ -40,7 +41,7 @@ def test_reopen_recovers_records(tmp_path):
 def test_reopen_truncates_torn_tail(tmp_path):
     store = FileLogStore(tmp_path, "s1")
     for i in range(1, 6):
-        store.append_record("c", rec(i), fsync=False)
+        store.append_records("c", (rec(i),), fsync=False)
     store.sync()
     store.close()
 
@@ -54,7 +55,7 @@ def test_reopen_truncates_torn_tail(tmp_path):
     assert again.truncated_bytes > 0
     assert log.stat().st_size == intact  # tail removed, prefix kept
     # The stream accepts appends after the truncation.
-    again.append_record("c", rec(6), fsync=True)
+    again.append_records("c", (rec(6),), fsync=True)
     again.close()
     final = FileLogStore(tmp_path, "s1")
     assert final.stored_lsns("c") == [1, 2, 3, 4, 5, 6]
@@ -63,8 +64,8 @@ def test_reopen_truncates_torn_tail(tmp_path):
 
 def test_corrupt_record_data_ends_valid_prefix(tmp_path):
     store = FileLogStore(tmp_path, "s1")
-    store.append_record("c", rec(1, data=b"aaaa"), fsync=False)
-    store.append_record("c", rec(2, data=b"bbbb"), fsync=False)
+    store.append_records("c", (rec(1, data=b"aaaa"),), fsync=False)
+    store.append_records("c", (rec(2, data=b"bbbb"),), fsync=False)
     store.sync()
     store.close()
 
@@ -80,12 +81,12 @@ def test_corrupt_record_data_ends_valid_prefix(tmp_path):
 
 def test_duplicate_append_is_dropped_conflict_rejected(tmp_path):
     store = FileLogStore(tmp_path, "s1")
-    store.append_record("c", rec(1), fsync=True)
+    store.append_records("c", (rec(1),), fsync=True)
     size = (tmp_path / "log.dat").stat().st_size
-    store.append_record("c", rec(1), fsync=True)  # identical: no new bytes
+    store.append_records("c", (rec(1),), fsync=True)  # identical: no new bytes
     assert (tmp_path / "log.dat").stat().st_size == size
     with pytest.raises(ProtocolError):
-        store.append_record("c", rec(1, data=b"different"), fsync=True)
+        store.append_records("c", (rec(1, data=b"different"),), fsync=True)
     assert (tmp_path / "log.dat").stat().st_size == size
     store.close()
 
@@ -93,7 +94,7 @@ def test_duplicate_append_is_dropped_conflict_rejected(tmp_path):
 def test_copy_install_cycle_survives_reopen(tmp_path):
     store = FileLogStore(tmp_path, "s1")
     for i in range(1, 4):
-        store.append_record("c", rec(i), fsync=False)
+        store.append_records("c", (rec(i),), fsync=False)
     store.sync()
     store.stage_copy("c", rec(3, epoch=2, data=b"rewrite"))
     store.stage_copy("c", rec(4, epoch=2, present=False, kind="guard"))
@@ -109,7 +110,7 @@ def test_copy_install_cycle_survives_reopen(tmp_path):
 
 def test_staged_but_uninstalled_copies_stay_invisible(tmp_path):
     store = FileLogStore(tmp_path, "s1")
-    store.append_record("c", rec(1), fsync=True)
+    store.append_records("c", (rec(1),), fsync=True)
     store.stage_copy("c", rec(1, epoch=2, data=b"rewrite"))
     store.close()  # crash before InstallCopies
 
@@ -129,53 +130,35 @@ def test_generator_value_is_durable_and_monotone(tmp_path):
     again.close()
 
 
-def test_forest_index_serves_point_reads(tmp_path):
-    store = FileLogStore(tmp_path, "s1")
-    for i in range(1, 201):
-        store.append_record("c", rec(i), fsync=False)
-    store.sync()
-    forest = store.forest("c")
-    assert forest is not None and forest.high_key == 200
-    forest.check_invariants()
-    for lsn in (1, 37, 200):
-        via = store.read_via_index("c", lsn)
-        assert via is not None and via.data == f"r{lsn}".encode()
-    assert store.read_via_index("c", 999) is None
-    store.close()
+def test_reopens_log_compacted_by_older_version(tmp_path):
+    """Older compactions began ``log.dat`` with a generation entry
+    (type 6) and kept per-client ``forest-*.idx`` index files beside
+    it.  Replay must skip the entry, not stop at offset 0 and truncate
+    the whole log, and must leave the stray index file alone."""
+    entry = struct.Struct("!HB16s")
+    generation = struct.pack("!Q", 3)
+    raw = entry.pack(ENTRY_MAGIC, 6, b"") \
+        + generation + struct.pack("!I", zlib.crc32(generation))
+    for i in range(1, 6):
+        raw += entry.pack(ENTRY_MAGIC, 1, b"c") + encode_stored_record(rec(i))
+    (tmp_path / "log.dat").write_bytes(raw)
+    stray = tmp_path / "forest-63.idx"
+    stray.write_bytes(b"\x4c\x47stale index pages")
 
-
-def test_forest_rebuilt_after_losing_index_file(tmp_path):
-    """The log stream is authoritative; the index is reconstructable."""
     store = FileLogStore(tmp_path, "s1")
-    for i in range(1, 51):
-        store.append_record("c", rec(i), fsync=False)
-    store.sync()
+    assert store.truncated_bytes == 0
+    assert store.recovered_entries == 6
+    assert store.generator_value == 0  # the generation is not a generator
+    assert store.stored_lsns("c") == [1, 2, 3, 4, 5]
+    for i in range(1, 6):
+        assert store.read_record("c", i).data == f"r{i}".encode()
+    store.append_records("c", (rec(6),), fsync=True)
     store.close()
-    for idx in tmp_path.glob("forest-*.idx"):
-        idx.unlink()  # lose the whole buffered index
 
     again = FileLogStore(tmp_path, "s1")
-    forest = again.forest("c")
-    assert forest is not None and forest.high_key == 50
-    forest.check_invariants()
-    assert again.read_via_index("c", 25).data == b"r25"
+    assert again.stored_lsns("c") == [1, 2, 3, 4, 5, 6]
     again.close()
-
-
-def test_filepagestore_drops_torn_final_page(tmp_path):
-    path = tmp_path / "pages.idx"
-    forest = AppendForest(FilePageStore(path))
-    for key in range(1, 9):
-        forest.append_key(key, key * 10)
-    forest.store.close()
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-3])  # tear the final page
-
-    reopened = AppendForest(FilePageStore(path))
-    reopened.rebuild_from_store()
-    assert reopened.high_key is not None and reopened.high_key < 8
-    reopened.check_invariants()
-    reopened.store.close()
+    assert stray.read_bytes() == b"\x4c\x47stale index pages"
 
 
 def test_fence_is_durable_and_monotone(tmp_path):
@@ -196,7 +179,7 @@ def test_fence_is_durable_and_monotone(tmp_path):
 def test_fence_survives_compaction(tmp_path):
     store = FileLogStore(tmp_path, "s1")
     for i in range(1, 9):
-        store.append_record("c", rec(i), fsync=False)
+        store.append_records("c", (rec(i),), fsync=False)
     store.sync()
     store.fence_write("c", 4)
     store.truncate_below("c", 6)  # triggers _compact: fences re-emitted
@@ -212,7 +195,7 @@ def test_fence_survives_compaction(tmp_path):
 def test_torn_fence_tail_reverts_to_prior_fence(tmp_path):
     """A fence is installed exactly when its fsync'd entry is intact."""
     store = FileLogStore(tmp_path, "s1")
-    store.append_record("c", rec(1), fsync=True)
+    store.append_records("c", (rec(1),), fsync=True)
     store.fence_write("c", 2)
     intact = (tmp_path / "log.dat").stat().st_size
     store.fence_write("c", 7)
@@ -229,7 +212,7 @@ def test_torn_fence_tail_reverts_to_prior_fence(tmp_path):
 
 def test_entry_magic_mismatch_ends_prefix(tmp_path):
     store = FileLogStore(tmp_path, "s1")
-    store.append_record("c", rec(1), fsync=True)
+    store.append_records("c", (rec(1),), fsync=True)
     store.close()
     log = tmp_path / "log.dat"
     raw = log.read_bytes()

@@ -39,7 +39,7 @@ CHILD = textwrap.dedent("""
             data=(b"payload-%d-" % lsn) * 8 if present else b"",
             kind="update" if present else "guard",
         )
-        store.append_record("c", record, fsync=True)
+        store.append_records("c", (record,), fsync=True)
         print(lsn, flush=True)          # acknowledged: fsync returned
 """)
 
@@ -90,8 +90,8 @@ def test_sigkill_mid_append_recovers_fsynced_prefix(tmp_path):
     from repro.core.records import StoredRecord
 
     next_lsn = len(recovered) + 1
-    store.append_record(
-        "c", StoredRecord(lsn=next_lsn, epoch=1, data=b"after-crash"),
+    store.append_records(
+        "c", (StoredRecord(lsn=next_lsn, epoch=1, data=b"after-crash"),),
         fsync=True,
     )
     assert [(iv.epoch, iv.lo, iv.hi) for iv in store.interval_list("c")] \

@@ -246,8 +246,8 @@ def test_read_log_packs_within_packet_budget(tmp_path):
             from repro.core.records import StoredRecord
 
             for lsn in range(1, 101):
-                daemon.store.append_record(
-                    "c1", StoredRecord(lsn=lsn, epoch=1, data=b"d" * 100),
+                daemon.store.append_records(
+                    "c1", (StoredRecord(lsn=lsn, epoch=1, data=b"d" * 100),),
                     fsync=False,
                 )
             host, port = cluster.addresses()["s1"]
