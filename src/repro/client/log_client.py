@@ -49,8 +49,6 @@ from ..net.messages import (
     AckReply,
     CopyLogCall,
     ForceLogMsg,
-    InstallCopiesCall,
-    GeneratorWriteCall,
     MissingIntervalMsg,
     NewHighLSNMsg,
     NewIntervalMsg,
@@ -275,31 +273,47 @@ class SimLogClient:
     def _drive(self, step):
         """Carry a :mod:`repro.core.recovery` step as RPCs; ``yield from`` me.
 
-        A CopyLog goes out in packet-sized chunks.  GeneratorWrite and
-        InstallCopies reuse the connection of the GeneratorRead or
-        CopyLog they follow instead of reconnecting.
+        The calls of a batch run as concurrent processes and the step
+        resumes when the last one returns; a batch of one runs inline.
         """
-        reply = error = None
+        outcomes = None
         while True:
             try:
-                server_id, msg = (step.throw(error) if error is not None
-                                  else step.send(reply))
+                batch = step.send(outcomes)
             except StopIteration as done:
                 return done.value
-            reply = error = None
-            try:
-                if not isinstance(msg, (GeneratorWriteCall, InstallCopiesCall)):
-                    yield from self._connect(server_id)
-                rpc = self._rpcs[server_id]
-                if isinstance(msg, CopyLogCall):
-                    for chunk in _pack_records(msg.records):
-                        reply = yield from rpc.call(replace(msg, records=chunk))
-                        if not isinstance(reply, AckReply):
-                            break
-                else:
-                    reply = yield from rpc.call(msg)
-            except ServerUnavailable as exc:
-                error = exc
+            if len(batch) == 1:
+                outcomes = ((yield from self._step_call(*batch[0])),)
+            else:
+                outcomes = tuple((yield self.sim.all_of(
+                    self.sim.spawn(self._step_call(server_id, msg),
+                                   name=f"{self.client_id}.rpc.{server_id}")
+                    for server_id, msg in batch)))
+
+    def _step_call(self, server_id: str, msg):
+        """One recovery call; returns the reply or the ServerUnavailable.
+
+        A CopyLog goes out in packet-sized chunks.  A failed call drops
+        its connection: a server that crashed and came back has
+        forgotten it and silently discards everything sent on it, so
+        the next call must connect afresh.
+        """
+        try:
+            yield from self._connect(server_id)
+            rpc = self._rpcs[server_id]
+            if isinstance(msg, CopyLogCall):
+                for chunk in _pack_records(msg.records):
+                    reply = yield from rpc.call(replace(msg, records=chunk))
+                    if not isinstance(reply, AckReply):
+                        break
+                return reply
+            return (yield from rpc.call(msg))
+        except ServerUnavailable as exc:
+            self._rpcs.pop(server_id, None)
+            conn = self._conns.pop(server_id, None)
+            if conn is not None:
+                conn.close()
+            return exc
 
     # -- logging -------------------------------------------------------------------
 

@@ -19,25 +19,42 @@ The procedure is restartable: a crash at any point leaves only staged
 restart repeats the procedure with a yet-higher epoch.
 
 This module is the procedure's only implementation.  Each step —
-:func:`gather`, :func:`new_id`, :func:`fence` and :func:`recover` — is
-a sans-I/O generator: it yields ``(server_id, call)`` requests built
-from the :mod:`repro.net.messages` call types and is sent each reply.
-A failed call is thrown back in as :class:`ServerUnavailable` at the
-yield, and the step moves on to another server.  Three drivers carry
-the requests: :func:`drive` over in-process :class:`ServerPort` objects
-(below), the simulator's :class:`~repro.client.SimLogClient`, and the
-asyncio :class:`~repro.rt.client.AsyncReplicatedLog`.
+:func:`gather`, :func:`new_id`, :func:`fence`, :func:`fetch_many` and
+:func:`recover` — is a sans-I/O generator.  It yields a *batch*: a
+tuple of ``(server_id, call)`` requests, built from the
+:mod:`repro.net.messages` call types, to distinct servers.  It is sent
+back a tuple of the same length and order holding, for each request,
+the reply or the :class:`ServerUnavailable` the call failed with.  A
+driver carries the requests of one batch concurrently, so each batch
+costs one round trip however many servers it names:
+
+* ``gather``, the read of ``new_id`` and ``fence`` ask every server
+  in one batch;
+* the write of ``new_id``, CopyLog and InstallCopies go to exactly the
+  quorum (or ``copies``) they need, and top up from the next
+  candidates only on a shortfall, so a fault-free run sends no more
+  calls than it needs;
+* ``fetch_many`` reads the δ copy window with one ``ReadLogForward``
+  per server, since a reply packs as many records as fit a packet.
+
+A restart is therefore six round trips and a takeover eight, whatever
+M and δ are.  Three drivers carry the batches: :func:`drive` over
+in-process :class:`ServerPort` objects (below), the simulator's
+:class:`~repro.client.SimLogClient`, and the asyncio
+:class:`~repro.rt.client.AsyncReplicatedLog`.
 
 The steps also pass the ``client.*`` crash points of
-:mod:`repro.rt.clientfault`; with no injector installed they cost a
-``None`` check.
+:mod:`repro.rt.clientfault`, after the batch they follow has returned
+and in server order, so the points enumerate deterministically; with
+no injector installed they cost a ``None`` check.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Generator, Iterable, TypeVar
+from itertools import islice
+from typing import Generator, Iterable, Iterator, TypeVar, Union
 
 from ..net.messages import (
     AckReply,
@@ -62,9 +79,13 @@ from .records import Epoch, LSN, StoredRecord
 from .retry import RetryPolicy, retry_call
 
 T = TypeVar("T")
-#: A restart step: yields ``(server_id, call)``, is sent the reply,
-#: returns ``T``.
-Step = Generator[tuple[str, Message], Message, T]
+#: One call of a batch: the server it goes to and the message.
+Request = tuple[str, Message]
+#: What a driver sends back per request: the reply, or the failure.
+Outcome = Union[Message, ServerUnavailable]
+#: A restart step: yields batches of requests to distinct servers, is
+#: sent their outcomes in the same order, returns ``T``.
+Step = Generator[tuple[Request, ...], tuple[Outcome, ...], T]
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,6 +117,31 @@ def _hit(site: str) -> None:
 # -- the steps ---------------------------------------------------------------
 
 
+def _write_to(
+    candidates: Iterator[str], need: int, msg: Message,
+    site: str | None = None,
+) -> Step[list[str]]:
+    """Send ``msg`` to the next ``need`` candidates in one batch.
+
+    On a shortfall the next batch goes to as many further candidates as
+    are still missing.  Returns the servers that acknowledged, in
+    candidate order; ``site`` is hit once per acknowledgment, after the
+    batch that carried it.
+    """
+    acked: list[str] = []
+    while len(acked) < need:
+        batch = list(islice(candidates, need - len(acked)))
+        if not batch:
+            break
+        replies = yield tuple((server_id, msg) for server_id in batch)
+        for server_id, reply in zip(batch, replies):
+            if isinstance(reply, AckReply):
+                if site is not None:
+                    _hit(site)
+                acked.append(server_id)
+    return acked
+
+
 def gather(
     client_id: str, servers: Iterable[str], quorum: int,
 ) -> Step[list[ServerIntervals]]:
@@ -105,14 +151,12 @@ def gather(
     (``M − N + 1``) respond — the condition under which the paper says
     client initialization is unavailable.
     """
-    lists: list[ServerIntervals] = []
-    for server_id in servers:
-        try:
-            reply = yield server_id, IntervalListCall(client_id)
-        except ServerUnavailable:
-            continue
-        if isinstance(reply, IntervalListReply):
-            lists.append(ServerIntervals(server_id, reply.intervals))
+    servers = list(servers)
+    replies = yield tuple((server_id, IntervalListCall(client_id))
+                          for server_id in servers)
+    lists = [ServerIntervals(server_id, reply.intervals)
+             for server_id, reply in zip(servers, replies)
+             if isinstance(reply, IntervalListReply)]
     if len(lists) < quorum:
         raise NotEnoughServers(
             f"client initialization needs interval lists from {quorum} "
@@ -132,41 +176,30 @@ def new_id(
     earlier one.  A value not above ``floor`` raises :class:`StaleEpoch`
     before anything is written.
     """
-    values: list[int] = []
-    readable: list[str] = []
-    for server_id in reps:
-        try:
-            reply = yield server_id, GeneratorReadCall(client_id)
-        except ServerUnavailable:
-            continue
-        if isinstance(reply, GeneratorReadReply):
-            values.append(reply.value)
-            readable.append(server_id)
+    reps = list(reps)
+    replies = yield tuple((server_id, GeneratorReadCall(client_id))
+                          for server_id in reps)
+    read = [(server_id, reply.value)
+            for server_id, reply in zip(reps, replies)
+            if isinstance(reply, GeneratorReadReply)]
     need = read_quorum_size(n_reps)
-    if len(values) < need:
+    if len(read) < need:
         raise NotEnoughServers(
             f"generator read quorum needs {need} representatives, "
-            f"only {len(values)} available"
+            f"only {len(read)} available"
         )
     _hit("client.epoch.read")
-    value = max(values) + 1
+    value = max(v for _, v in read) + 1
     if value <= floor:
         raise StaleEpoch("generator", value, floor)
-    written = 0
     need = write_quorum_size(n_reps)
-    for server_id in readable:
-        if written >= need:
-            break
-        try:
-            reply = yield server_id, GeneratorWriteCall(client_id, value=value)
-        except ServerUnavailable:
-            continue
-        if isinstance(reply, AckReply):
-            written += 1
-    if written < need:
+    written = yield from _write_to(
+        (server_id for server_id, _ in read), need,
+        GeneratorWriteCall(client_id, value=value))
+    if len(written) < need:
         raise NotEnoughServers(
             f"generator write quorum needs {need} representatives, "
-            f"wrote {written}"
+            f"wrote {len(written)}"
         )
     _hit("client.epoch.written")
     return value
@@ -177,7 +210,7 @@ def fence(
 ) -> Step[int]:
     """The takeover fence: install ``epoch`` on every server that answers.
 
-    Every reachable server is tried (the wider the fence, the sooner the
+    Every server is asked at once (the wider the fence, the sooner the
     old owner hits it), and at least ``quorum`` (``M − N + 1``) must
     acknowledge, which makes the fence set intersect every possible
     write set.  Returns the number of servers fenced.  A server refusing
@@ -185,17 +218,16 @@ def fence(
     :class:`ServerUnavailable`; the driver's ``LogFenced`` ends the
     takeover.
     """
+    servers = list(servers)
+    replies = yield tuple((server_id, FenceLogCall(client_id, epoch=epoch))
+                          for server_id in servers)
     fenced = 0
-    for server_id in servers:
-        try:
-            reply = yield server_id, FenceLogCall(client_id, epoch=epoch)
-        except ServerUnavailable:
-            continue
+    for reply in replies:
         if isinstance(reply, FenceReply):
             fenced += 1
-            # Index 0 = the fence holds on one server only; the old
-            # owner is already locked out of write sets that include
-            # it, but not yet out of all of them.
+            # Index 0 = the batch has returned but the step has counted
+            # only one acknowledgment: a crash here leaves the fence on
+            # every server that answered, the quorum not yet checked.
             _hit("client.handoff.fence.ack")
     if fenced < quorum:
         raise NotEnoughServers(
@@ -205,20 +237,46 @@ def fence(
     return fenced
 
 
-def fetch(client_id: str, merged: MergedIntervalMap, lsn: LSN) -> Step[StoredRecord]:
-    """The winning copy of ``lsn`` (present flag intact) from a server storing it."""
-    for server_id in merged.servers_for(lsn):
-        try:
-            reply = yield server_id, ReadLogForwardCall(client_id, lsn)
-        except ServerUnavailable:
-            continue
-        if isinstance(reply, ReadLogReply):
-            for record in reply.records:
-                if record.lsn == lsn:
-                    return record
-    raise NotEnoughServers(
-        f"no reachable server stores LSN {lsn} needed for recovery"
-    )
+def fetch_many(
+    client_id: str, merged: MergedIntervalMap, lsns: Iterable[LSN],
+) -> Step[list[StoredRecord]]:
+    """The winning copy of every LSN in ``lsns`` (present flags intact).
+
+    Asks for the lowest LSN not yet covered with a ``ReadLogForward``
+    to the first server in ``merged.servers_for(lsn)`` not yet tried
+    for it.  A reply packs consecutive records, so from it the step
+    takes every record whose LSN is wanted, not yet covered, and held
+    by that server according to ``servers_for`` — the same acceptance
+    rule as a read of that one LSN.  A window on one write set costs
+    one call, a window split across write sets one per part; against
+    one-record replies it degrades to one call per LSN.  A server that
+    failed is not asked again.  Returns the records in ascending LSN
+    order; raises :class:`NotEnoughServers` for an LSN no reachable
+    server stores.
+    """
+    want = set(lsns)
+    wanted = sorted(want)
+    covered: dict[LSN, StoredRecord] = {}
+    dead: set[str] = set()
+    for lsn in wanted:
+        for server_id in merged.servers_for(lsn):
+            if lsn in covered:
+                break
+            if server_id in dead:
+                continue
+            (reply,) = yield ((server_id, ReadLogForwardCall(client_id, lsn)),)
+            if isinstance(reply, ServerUnavailable):
+                dead.add(server_id)
+            elif isinstance(reply, ReadLogReply):
+                for record in reply.records:
+                    if (record.lsn in want and record.lsn not in covered
+                            and server_id in merged.servers_for(record.lsn)):
+                        covered[record.lsn] = record
+        if lsn not in covered:
+            raise NotEnoughServers(
+                f"no reachable server stores LSN {lsn} needed for recovery"
+            )
+    return [covered[lsn] for lsn in wanted]
 
 
 def recover(
@@ -231,43 +289,38 @@ def recover(
 ) -> Step[RecoveryResult]:
     """Steps 3–5: copy the last δ records, stage δ guards, install.
 
-    Tries ``servers`` in order until ``copies`` of them have staged and
-    installed everything.  A server failing at any point is skipped
-    entirely; records staged there are never installed (the epoch is
-    never reused, so the remnants are inert).  ``merged`` is updated in
-    place with the installed records.
+    CopyLog goes to the first ``copies`` of ``servers`` at once, then
+    InstallCopies to every server that staged.  A server failing at any
+    point is skipped and the next candidates are tried for the missing
+    copies; records staged on a skipped server are never installed (the
+    epoch is never reused, so the remnants are inert).  ``merged`` is
+    updated in place with the installed records.
     """
     high = merged.high_lsn() or 0
     # The most recent δ records that exist, present flag preserved.
     # (With fewer than δ records in the log, copy all.)
-    staged: list[StoredRecord] = []
-    for lsn in range(max(1, high - delta + 1), high + 1):
-        if lsn in merged:
-            record = yield from fetch(client_id, merged, lsn)
-            staged.append(StoredRecord(lsn=lsn, epoch=epoch,
-                                       present=record.present,
-                                       data=record.data, kind=record.kind))
+    window = [lsn for lsn in range(max(1, high - delta + 1), high + 1)
+              if lsn in merged]
+    staged = [StoredRecord(lsn=record.lsn, epoch=epoch,
+                           present=record.present, data=record.data,
+                           kind=record.kind)
+              for record in (yield from fetch_many(client_id, merged, window))]
     staged += [
         StoredRecord(lsn=high + i, epoch=epoch, present=False, kind="guard")
         for i in range(1, delta + 1)
     ]
     _hit("client.recovery.staged")
+    copy = CopyLogCall(client_id, epoch, tuple(staged))
+    install = InstallCopiesCall(client_id, epoch)
+    candidates = iter(servers)
     installed: list[str] = []
-    for server_id in servers:
-        if len(installed) >= copies:
+    while len(installed) < copies:
+        copied = yield from _write_to(candidates, copies - len(installed),
+                                      copy, "client.recovery.copylog")
+        if not copied:
             break
-        try:
-            reply = yield server_id, CopyLogCall(client_id, epoch, tuple(staged))
-            if not isinstance(reply, AckReply):
-                continue
-            _hit("client.recovery.copylog")
-            reply = yield server_id, InstallCopiesCall(client_id, epoch)
-            if not isinstance(reply, AckReply):
-                continue
-        except ServerUnavailable:
-            continue
-        _hit("client.recovery.install")
-        installed.append(server_id)
+        installed += yield from _write_to(iter(copied), len(copied),
+                                          install, "client.recovery.install")
     if len(installed) < copies:
         raise NotEnoughServers(
             f"recovery could install copies on only {len(installed)} "
@@ -308,21 +361,28 @@ def _call_port(port: ServerPort | None, server_id: str, msg: Message) -> Message
     raise TypeError(f"a ServerPort cannot carry {type(msg).__name__}")
 
 
+def _outcome(port: ServerPort | None, server_id: str,
+             msg: Message) -> Outcome:
+    try:
+        return _call_port(port, server_id, msg)
+    except ServerUnavailable as exc:
+        return exc
+
+
 def drive(step: Step[T], ports: dict[str, ServerPort]) -> T:
-    """Run ``step`` synchronously against in-process ports."""
-    reply: Message | None = None
-    error: ServerUnavailable | None = None
+    """Run ``step`` synchronously against in-process ports.
+
+    A port answers at once, so the requests of a batch simply run one
+    after another.
+    """
+    outcomes: tuple[Outcome, ...] | None = None
     while True:
         try:
-            server_id, msg = (step.throw(error) if error is not None
-                              else step.send(reply))
+            batch = step.send(outcomes)
         except StopIteration as done:
             return done.value
-        reply = error = None
-        try:
-            reply = _call_port(ports.get(server_id), server_id, msg)
-        except ServerUnavailable as exc:
-            error = exc
+        outcomes = tuple(_outcome(ports.get(server_id), server_id, msg)
+                         for server_id, msg in batch)
 
 
 def gather_interval_lists(

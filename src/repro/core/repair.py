@@ -8,7 +8,7 @@ so every record is again on ``N`` servers.
 
 :func:`repair_log_copy` performs the repair for one client: it merges
 interval lists from the surviving servers, finds every LSN with fewer
-than ``N`` surviving copies, reads each from a holder, and replays
+than ``N`` surviving copies, reads them from their holders, and replays
 them onto the target in ``(epoch, LSN)`` order — which satisfies the
 server's non-decreasing write discipline, so the target's store ends
 up exactly as if it had received the records originally.
@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 from .intervals import MergedIntervalMap
 from .ports import ServerPort
-from .records import StoredRecord
-from .recovery import drive, fetch, gather_interval_lists
+from .recovery import drive, fetch_many, gather_interval_lists
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,9 +67,7 @@ def repair_log_copy(
     merged = MergedIntervalMap.merge(reports)
     needy = under_replicated_lsns(merged, copies)
 
-    to_copy: list[StoredRecord] = []
-    for lsn in needy:
-        to_copy.append(drive(fetch(client_id, merged, lsn), survivor_ports))
+    to_copy = drive(fetch_many(client_id, merged, needy), survivor_ports)
 
     # Replay in (epoch, LSN) order: epochs non-decreasing, and within
     # an epoch LSNs increase — the append discipline of Section 3.1.1.

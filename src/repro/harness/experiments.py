@@ -910,9 +910,10 @@ def run_restart_latency(
     The paper stops at availability ("predicting the expected time for
     client process initialization to complete requires a more
     complicated model"); the simulator simply measures it.  Cost
-    components: M sequential IntervalList RPCs, reading the last δ
-    records (a disk read per sealed track touched), and CopyLog +
-    InstallCopies on N servers.
+    components: one concurrent round of M IntervalList RPCs, the NewID
+    rounds, one packed read of the last δ records (a disk read per
+    sealed track touched), and concurrent CopyLog and InstallCopies
+    rounds on N servers.
     """
     rows = []
     for m in m_values:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from typing import Awaitable, Callable, Mapping, TypeVar
+from typing import Awaitable, Callable, Iterable, Mapping, TypeVar
 
 from ..core import recovery
 from ..core.config import ReplicationConfig
@@ -112,6 +112,20 @@ def _reply_error(server_id: str, reply: ErrorReply) -> Exception:
         return LogFenced(server_id,
                          reason=f"log server {server_id!r}: {reply.reason}")
     return ServerUnavailable(server_id, reply.reason)
+
+
+async def _settle(calls: Iterable[Awaitable[T]]) -> list:
+    """Await ``calls`` together; each result in order, a
+    :class:`ServerUnavailable` in place of the result it stands for.
+
+    Any other error is raised once every call has finished.
+    """
+    results = await asyncio.gather(*calls, return_exceptions=True)
+    for result in results:
+        if (isinstance(result, BaseException)
+                and not isinstance(result, ServerUnavailable)):
+            raise result
+    return results
 
 
 class ServerConnection:
@@ -679,6 +693,10 @@ class AsyncReplicatedLog:
         self.rebalance_moves = 0
         self.takeovers_performed = 0
         self.fences_installed = 0
+        #: calls the restart steps have sent, and the batches (round
+        #: trips) they went in, over every restart.
+        self.recovery_calls = 0
+        self.recovery_rounds = 0
 
     # -- connection management ----------------------------------------
 
@@ -706,13 +724,9 @@ class AsyncReplicatedLog:
                        if sid not in pref]
 
     async def _ensure_connections(self) -> list[str]:
-        """(Re)connect every dead server; return ids of live ones."""
-        for conn in self._conns.values():
-            if not conn.alive:
-                try:
-                    await conn.connect()
-                except ServerUnavailable:
-                    continue
+        """(Re)connect every dead server at once; return ids of live ones."""
+        await _settle(conn.connect() for conn in self._conns.values()
+                      if not conn.alive)
         return [sid for sid, conn in self._conns.items() if conn.alive]
 
     def _on_missing(self, server_id: str, msg: MissingIntervalMsg) -> None:
@@ -817,25 +831,28 @@ class AsyncReplicatedLog:
     async def _drive(self, step: recovery.Step[T]) -> T:
         """Carry a :mod:`repro.core.recovery` step over the connections.
 
-        A dead connection fails its call with :class:`ServerUnavailable`
-        without sending anything.
+        The calls of one batch go out together and the step resumes
+        once every one has returned.  A dead connection fails its call
+        with :class:`ServerUnavailable` without sending anything; any
+        other error (``LogFenced``, a quota refusal) ends the step once
+        the whole batch is back.
         """
-        reply: Message | None = None
-        error: ServerUnavailable | None = None
+        outcomes: tuple[recovery.Outcome, ...] | None = None
         while True:
             try:
-                sid, msg = (step.throw(error) if error is not None
-                            else step.send(reply))
+                batch = step.send(outcomes)
             except StopIteration as done:
                 return done.value
-            reply = error = None
-            conn = self._conns.get(sid)
-            try:
-                if conn is None or not conn.alive:
-                    raise ServerUnavailable(sid, "not connected")
-                reply = await conn.call(msg)
-            except ServerUnavailable as exc:
-                error = exc
+            self.recovery_calls += len(batch)
+            self.recovery_rounds += 1
+            outcomes = tuple(await _settle(
+                self._step_call(sid, msg) for sid, msg in batch))
+
+    async def _step_call(self, sid: str, msg: Message) -> Message:
+        conn = self._conns.get(sid)
+        if conn is None or not conn.alive:
+            raise ServerUnavailable(sid, "not connected")
+        return await conn.call(msg)
 
     async def _gather(self) -> list[ServerIntervals]:
         return await self._drive(recovery.gather(

@@ -1,14 +1,23 @@
 """Tests for the client-initialization (recovery) procedure."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     DirectServerPort,
     LogServerStore,
+    MergedIntervalMap,
     NotEnoughServers,
+    ServerIntervals,
+    ServerUnavailable,
+    StoredRecord,
     gather_interval_lists,
+    intervals_from_lsns,
     perform_recovery,
 )
+from repro.core.recovery import fetch_many
+from repro.net.messages import ReadLogForwardCall, ReadLogReply
 
 
 def build_stores(m=3):
@@ -246,3 +255,173 @@ class TestGatherWithRetry:
                 policy=RetryPolicy(max_attempts=3, jitter=0.0),
                 sleep=lambda _s: None,
             )
+
+
+# -- fetch_many: one packed read per server ---------------------------------
+
+
+def _record(lsn, epoch):
+    """The one record every holder of ``⟨lsn, epoch⟩`` stores."""
+    present = (lsn + epoch) % 3 != 0
+    return StoredRecord(lsn, epoch, present,
+                        b"%d@%d" % (lsn, epoch) if present else b"")
+
+
+class ModelServers:
+    """Log servers answering ReadLogForward from ``{server: {lsn: epoch}}``.
+
+    A reply packs up to ``per_reply[server]`` stored records from the
+    requested LSN up (1 = one record per reply, like a ``ServerPort``).
+    A server in ``stop_at_gap`` ends a reply at the first LSN it does
+    not store, as the simulated server does; the others skip the gap,
+    as the daemon does.  Servers in ``dead`` fail every call.
+    """
+
+    def __init__(self, holdings, per_reply, dead=(), stop_at_gap=()):
+        self.holdings = holdings
+        self.per_reply = per_reply
+        self.dead = set(dead)
+        self.stop_at_gap = set(stop_at_gap)
+        self.calls = []
+
+    def merged(self):
+        return MergedIntervalMap.merge(
+            ServerIntervals(sid, intervals_from_lsns(held.items()))
+            for sid, held in self.holdings.items() if held)
+
+    def answer(self, server_id, msg):
+        self.calls.append((server_id, msg))
+        assert isinstance(msg, ReadLogForwardCall)
+        if server_id in self.dead:
+            return ServerUnavailable(server_id, "down")
+        held = self.holdings[server_id]
+        records = []
+        lsn = msg.lsn
+        for stored in sorted(l for l in held if l >= msg.lsn):
+            if len(records) == self.per_reply[server_id]:
+                break
+            if stored != lsn and server_id in self.stop_at_gap:
+                break
+            records.append(_record(stored, held[stored]))
+            lsn = stored + 1
+        return ReadLogReply(msg.client_id, tuple(records))
+
+    def run(self, step):
+        """Drive ``step``, checking every batch is one read."""
+        outcomes = None
+        while True:
+            try:
+                batch = step.send(outcomes)
+            except StopIteration as done:
+                return done.value
+            assert len(batch) == 1
+            outcomes = tuple(self.answer(sid, msg) for sid, msg in batch)
+
+
+def per_lsn_reference(merged, lsns, servers):
+    """One ReadLogForward per LSN, tried on its holders in order, keeping
+    the record whose LSN was asked for."""
+    records = []
+    for lsn in sorted(set(lsns)):
+        for server_id in merged.servers_for(lsn):
+            reply = servers.answer(server_id, ReadLogForwardCall("c1", lsn))
+            if isinstance(reply, ReadLogReply):
+                match = [r for r in reply.records if r.lsn == lsn]
+                if match:
+                    records.append(match[0])
+                    break
+        else:
+            raise NotEnoughServers(f"LSN {lsn}")
+    return records
+
+
+@st.composite
+def fetch_cases(draw):
+    servers = [f"s{i}" for i in range(draw(st.integers(2, 4)))]
+    high = draw(st.integers(1, 16))
+    holdings = {sid: {} for sid in servers}
+    for lsn in range(1, high + 1):
+        # an LSN may be stored nowhere (a gap), on one server, or on
+        # several at different epochs: write sets switch and restarts
+        # supersede partial writes.
+        for sid in draw(st.lists(st.sampled_from(servers), unique=True)):
+            holdings[sid][lsn] = draw(st.integers(1, 3))
+    per_reply = {sid: draw(st.sampled_from([1, 2, 3, 16]))
+                 for sid in servers}
+    dead = draw(st.lists(st.sampled_from(servers), unique=True,
+                         max_size=len(servers) - 1))
+    stop_at_gap = draw(st.lists(st.sampled_from(servers), unique=True))
+    model = ModelServers(holdings, per_reply, dead, stop_at_gap)
+    merged = model.merged()
+    if draw(st.booleans()):
+        # recovery's δ window: the last δ LSNs that exist
+        top = merged.high_lsn() or 0
+        delta = draw(st.integers(1, 10))
+        lsns = [l for l in range(max(1, top - delta + 1), top + 1)
+                if l in merged]
+    else:
+        lsns = draw(st.lists(st.sampled_from(merged.lsns()), unique=True)
+                    if len(merged) else st.just([]))
+    return model, merged, lsns
+
+
+class TestFetchMany:
+    @settings(max_examples=300, deadline=None)
+    @given(fetch_cases())
+    def test_matches_per_lsn_reference(self, case):
+        model, merged, lsns = case
+        try:
+            expected = per_lsn_reference(merged, lsns, model)
+        except NotEnoughServers:
+            expected = None
+        reference_calls = len(model.calls)
+        model.calls.clear()
+        if expected is None:
+            with pytest.raises(NotEnoughServers):
+                model.run(fetch_many("c1", merged, lsns))
+            return
+        assert model.run(fetch_many("c1", merged, lsns)) == expected
+        calls = len(model.calls)
+        assert calls <= reference_calls
+        asked_dead = {sid for sid, _ in model.calls if sid in model.dead}
+        # each call to a live holder covers at least the LSN it asks for
+        assert calls <= len(lsns) + len(asked_dead)
+        if not model.dead:
+            assert calls <= len(lsns)
+
+    def test_window_on_one_write_set_is_one_read(self):
+        holdings = {"s0": {l: 1 for l in range(1, 11)},
+                    "s1": {l: 1 for l in range(1, 11)}, "s2": {}}
+        model = ModelServers(holdings, {"s0": 16, "s1": 16, "s2": 16})
+        records = model.run(fetch_many("c1", model.merged(), range(3, 11)))
+        assert [r.lsn for r in records] == list(range(3, 11))
+        assert [(sid, msg.lsn) for sid, msg in model.calls] == [("s0", 3)]
+
+    def test_split_window_reads_once_per_write_set(self):
+        # LSNs 1-5 on {s0, s1}; a write-set switch put 6-10 on {s2, s3}
+        holdings = {"s0": {l: 1 for l in range(1, 6)},
+                    "s1": {l: 1 for l in range(1, 6)},
+                    "s2": {l: 1 for l in range(6, 11)},
+                    "s3": {l: 1 for l in range(6, 11)}}
+        model = ModelServers(holdings, dict.fromkeys(holdings, 16))
+        records = model.run(fetch_many("c1", model.merged(), range(3, 11)))
+        assert [r.lsn for r in records] == list(range(3, 11))
+        assert [(sid, msg.lsn) for sid, msg in model.calls] == [
+            ("s0", 3), ("s2", 6)]
+
+    def test_dead_holder_is_asked_once(self):
+        holdings = {"s0": {l: 1 for l in range(1, 9)},
+                    "s1": {l: 1 for l in range(1, 9)}}
+        model = ModelServers(holdings, {"s0": 1, "s1": 1}, dead={"s0"})
+        records = model.run(fetch_many("c1", model.merged(), range(1, 9)))
+        assert [r.lsn for r in records] == list(range(1, 9))
+        assert [sid for sid, _ in model.calls] == ["s0"] + ["s1"] * 8
+
+    def test_superseded_copy_is_not_taken(self):
+        # s0 packs LSN 2 at epoch 1, but epoch 2 won it on s1 only
+        holdings = {"s0": {1: 1, 2: 1}, "s1": {2: 2}}
+        model = ModelServers(holdings, {"s0": 16, "s1": 16})
+        records = model.run(fetch_many("c1", model.merged(), [1, 2]))
+        assert records == [_record(1, 1), _record(2, 2)]
+        assert [(sid, msg.lsn) for sid, msg in model.calls] == [
+            ("s0", 1), ("s1", 2)]

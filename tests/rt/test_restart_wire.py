@@ -1,14 +1,19 @@
 """The restart procedure's exact wire sequence against real daemons.
 
 Section 3.1.2's restart and the fenced takeover are a fixed sequence of
-synchronous calls: interval lists, the Appendix I NewID, the δ-window
-reads, CopyLog/InstallCopies (and, for a takeover, FenceLog plus a
-second gather).  These tests pin that sequence call by call — server
-id and message type — together with the ``client.*`` crash points a
-recording :class:`~repro.rt.clientfault.ClientFaultInjector` sees, so
-any restructuring of the client's recovery code must keep both lists
+call batches: interval lists, the Appendix I NewID read and write, one
+packed read of the δ window, CopyLog, then InstallCopies (and, for a
+takeover, FenceLog plus a second gather).  The calls of one batch go
+out together, so a restart costs six round trips and a takeover eight.
+These tests pin the sequence call by call — server id and message
+type, in issue order — together with the ``client.*`` crash points a
+recording :class:`~repro.rt.clientfault.ClientFaultInjector` sees,
+which fire after each batch returns, in server order.  Any
+restructuring of the client's recovery code must keep both lists
 identical.  The call counts match perfbench's ``client.restart_calls``
-(25) and ``client.takeover_calls`` (35) at M=5, N=2, δ=8.
+(18) and ``client.takeover_calls`` (28) at M=5, N=2, δ=8; a per-LSN δ
+read and one-server-at-a-time steps cost 25 and 35, and neither count
+may grow back.
 """
 
 from __future__ import annotations
@@ -36,10 +41,11 @@ def _calls(*pairs):
 
 LISTS = (SERVERS, "IntervalListCall")
 NEW_ID = [(SERVERS, "GeneratorReadCall"), (SERVERS[:3], "GeneratorWriteCall")]
-#: the δ window is read from the first server storing each record.
-READS = (["s1"] * CONFIG.delta, "ReadLogForwardCall")
-COPY_INSTALL = [(["s1"], "CopyLogCall"), (["s1"], "InstallCopiesCall"),
-                (["s2"], "CopyLogCall"), (["s2"], "InstallCopiesCall")]
+#: the whole δ window comes back in one packed read from the first
+#: server storing its lowest record.
+READS = (["s1"], "ReadLogForwardCall")
+COPY_INSTALL = [(SERVERS[:2], "CopyLogCall"),
+                (SERVERS[:2], "InstallCopiesCall")]
 
 INITIALIZE_CALLS = _calls(LISTS, *NEW_ID, READS, *COPY_INSTALL)
 TAKEOVER_CALLS = _calls(LISTS, *NEW_ID, (SERVERS, "FenceLogCall"),
@@ -47,8 +53,8 @@ TAKEOVER_CALLS = _calls(LISTS, *NEW_ID, (SERVERS, "FenceLogCall"),
 
 RECOVERY_POINTS = [
     "client.recovery.staged:0",
-    "client.recovery.copylog:0", "client.recovery.install:0",
-    "client.recovery.copylog:1", "client.recovery.install:1",
+    "client.recovery.copylog:0", "client.recovery.copylog:1",
+    "client.recovery.install:0", "client.recovery.install:1",
     "client.recovery.commit:0",
 ]
 INITIALIZE_POINTS = [
@@ -117,6 +123,12 @@ def test_restart_and_takeover_wire_sequence(tmp_path, monkeypatch):
             logs.append(successor)
             takeover_points = await _recorded(successor.takeover, calls)
             takeover_calls = list(calls)
+            assert restarted.recovery_calls == len(init_calls)
+            assert successor.recovery_calls == len(takeover_calls)
+            # lists, NewID read, NewID write, δ read, CopyLog, Install;
+            # a takeover adds the fence and the post-fence lists
+            assert restarted.recovery_rounds == 6
+            assert successor.recovery_rounds == 8
         finally:
             for log in logs:
                 await log.close()
@@ -126,7 +138,10 @@ def test_restart_and_takeover_wire_sequence(tmp_path, monkeypatch):
 
     init_calls, init_points, takeover_calls, takeover_points = \
         asyncio.run(main())
-    assert len(INITIALIZE_CALLS) == 25 and len(TAKEOVER_CALLS) == 35
+    assert len(INITIALIZE_CALLS) == 18 and len(TAKEOVER_CALLS) == 28
+    # Never more calls than one-server-at-a-time steps with a per-LSN
+    # δ read made.
+    assert len(INITIALIZE_CALLS) <= 25 and len(TAKEOVER_CALLS) <= 35
     assert init_calls == INITIALIZE_CALLS
     assert init_points == INITIALIZE_POINTS
     assert takeover_calls == TAKEOVER_CALLS

@@ -14,7 +14,8 @@ import pytest
 
 from repro.core.config import ReplicationConfig
 from repro.core.errors import NotEnoughServers, NotInitialized, RecordNotPresent
-from repro.rt.client import AsyncReplicatedLog
+from repro.net.messages import ReadLogForwardCall
+from repro.rt.client import AsyncReplicatedLog, ServerConnection
 from repro.rt.filestore import FileLogStore
 from repro.rt.server import LogServerDaemon
 
@@ -155,6 +156,65 @@ def test_server_loss_switches_write_set_mid_stream(tmp_path):
             # All records still readable at N=2 with one server down.
             assert (await log.read(high)).data == b"post3"
             await log.close()
+
+    run(main())
+
+
+def test_restart_window_spanning_write_set_switches(tmp_path, monkeypatch):
+    """The δ window straddles a §5.4 switch of the whole write set, so no
+    server holds all of it: recovery reads it with one packed read per
+    write set and installs byte-exact copies."""
+    config = ReplicationConfig(total_servers=5, copies=2, delta=8)
+    reads: list[tuple[str, int]] = []
+    original_call = ServerConnection.call
+
+    async def recording_call(self, msg):
+        if isinstance(msg, ReadLogForwardCall):
+            reads.append((self.server_id, msg.lsn))
+        return await original_call(self, msg)
+
+    monkeypatch.setattr(ServerConnection, "call", recording_call)
+
+    async def main():
+        async with Cluster(tmp_path, m=5) as cluster:
+            log = AsyncReplicatedLog("c1", cluster.addresses(), config)
+            await log.initialize()
+            written = {}
+            holders = []
+            stopped = []
+            for batch in range(2):
+                if batch:
+                    # both members fail: two switches to spares
+                    stopped = list(log.write_set)
+                    for sid in stopped:
+                        await cluster.stop(sid)
+                for i in range(4):
+                    data = f"b{batch}r{i}".encode()
+                    written[await log.write(data)] = data
+                await log.force()
+                holders.append(set(log.write_set))
+            assert log.server_switches == 2
+            assert not holders[0] & holders[1]
+            await log.close()
+            for sid in stopped:
+                await cluster.start(sid)
+
+            reads.clear()
+            log2 = AsyncReplicatedLog("c1", cluster.addresses(), config)
+            await log2.initialize()
+            window = sorted(written)[-config.delta:]
+            # one read at the window's low end, then one per later
+            # write set whose records the earlier replies did not hold
+            assert [lsn for _, lsn in reads] == [window[0], window[4]]
+            for sid in log2.write_set:
+                store = cluster.daemons[sid].store
+                for lsn in window:
+                    record = store.read_record("c1", lsn)
+                    assert record.epoch == log2.current_epoch
+                    assert record.data == written[lsn]
+            for lsn, data in written.items():
+                assert (await log2.read(lsn)).data == data
+            await log2.close()
 
     run(main())
 
